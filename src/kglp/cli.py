@@ -331,9 +331,14 @@ def cmd_predict(args) -> int:
     if not table_path.is_file():
         raise ArtifactError(
             f"entity table {table_path} not found; run `kglp finetune --out {out_dir}` first")
-    encoder = load_checkpoint(ckpt_path)
     with np.load(table_path, allow_pickle=False) as data:
         table = data["table"]
+        table_sha = str(data.get("checkpoint_sha256"))
+    if table_sha != file_sha256(ckpt_path):
+        raise ArtifactError(
+            f"entity table {table_path} was not built from checkpoint {ckpt_path}; "
+            f"run `kglp finetune --out {out_dir} --force` to rebuild both together")
+    encoder = load_checkpoint(ckpt_path)
 
     if not kg.has_relation(args.relation):
         raise ArtifactError(

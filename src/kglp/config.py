@@ -54,7 +54,6 @@ class RunConfig:
     pretrain: PretrainConfig = field(default_factory=PretrainConfig)
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     seed: int = 0
-    threads: int = 0  # 0 leaves the BLAS thread pool alone
 
     def snapshot(self) -> dict:
         return asdict(self)
@@ -122,7 +121,7 @@ _SECTIONS = {
     "pretrain": PretrainConfig,
     "finetune": FinetuneConfig,
 }
-_TOP_LEVEL = {"seed": int, "threads": int}
+_TOP_LEVEL = {"seed": int}
 
 
 def apply_values(config: RunConfig, values: dict[str, object]) -> None:
@@ -177,7 +176,6 @@ def _validate(config: RunConfig) -> None:
         (config.finetune.negative_mode in ("in_batch", "uniform_k"),
          "finetune.negative_mode must be 'in_batch' or 'uniform_k'"),
         (config.finetune.num_negatives >= 1, "finetune.num_negatives must be >= 1"),
-        (config.threads >= 0, "threads must be >= 0"),
         (config.seed >= 0, "seed must be >= 0"),
     ]
     for ok, message in checks:

@@ -217,9 +217,19 @@ class Encoder:
 
     # ----------------------------------------------------------------- backward
 
-    def backward(self, cache, d_states=None, d_pooled=None) -> dict:
-        """Backprop through the encoder body; returns name -> gradient dict."""
-        cfg, p = self.config, self.params
+    def zero_grads(self) -> dict:
+        """A zero gradient buffer for every parameter, in parameter order."""
+        return {name: np.zeros_like(arr) for name, arr in self.params.items()}
+
+    def backward(self, cache, d_states=None, d_pooled=None, grads=None) -> dict:
+        """Backprop through the encoder body; returns the name -> gradient dict.
+
+        Gradients are added into ``grads`` when it is given (several passes of
+        one step share one buffer), else into a fresh ``zero_grads()``. Each
+        gradient is rounded to its buffer's dtype before it is added, so two
+        passes into one buffer give the same numbers as summing two buffers.
+        """
+        cfg = self.config
         blocks = cache["blocks"]
         B = cache["tokens"].shape[0]
         S = cache["seq_len"]
@@ -230,16 +240,17 @@ class Encoder:
         if d_pooled is not None:
             dx[:, 0] += d_pooled
 
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+        if grads is None:
+            grads = self.zero_grads()
         for i in reversed(range(cfg.num_layers)):
             dx = self._block_backward(i, dx, blocks[i], grads)
 
         dx = L.dropout_backward(dx, cache["emb_drop"])
         dx, dg, db = L.layernorm_backward(dx, cache["emb_ln"])
-        grads["emb_ln.g"] += dg
-        grads["emb_ln.b"] += db
-        np.add.at(grads["tok_emb"], cache["tokens"], dx)
-        grads["pos_emb"][:S] += dx.sum(axis=0)
+        _add(grads, "emb_ln.g", dg)
+        _add(grads, "emb_ln.b", db)
+        L.scatter_add_rows(grads["tok_emb"], cache["tokens"], dx)
+        grads["pos_emb"][:S] += dx.sum(axis=0).astype(self.dtype, copy=False)
         return grads
 
     def _block_backward(self, i, dh2, c, grads):
@@ -248,25 +259,25 @@ class Encoder:
         d = H * dh
 
         dresid2, dg, db = L.layernorm_backward(dh2, c["ln2"])
-        grads[f"blk{i}.ln2.g"] += dg
-        grads[f"blk{i}.ln2.b"] += db
+        _add(grads, f"blk{i}.ln2.g", dg)
+        _add(grads, f"blk{i}.ln2.b", db)
         df = L.dropout_backward(dresid2, c["ff_drop"])
         dgelu, dw, db = L.linear_backward(df, c["ff2"])
-        grads[f"blk{i}.ff.w2"] += dw
-        grads[f"blk{i}.ff.b2"] += db
+        _add(grads, f"blk{i}.ff.w2", dw)
+        _add(grads, f"blk{i}.ff.b2", db)
         du = L.gelu_backward(dgelu, c["gelu"])
         dh1, dw, db = L.linear_backward(du, c["ff1"])
-        grads[f"blk{i}.ff.w1"] += dw
-        grads[f"blk{i}.ff.b1"] += db
+        _add(grads, f"blk{i}.ff.w1", dw)
+        _add(grads, f"blk{i}.ff.b1", db)
         dh1 += dresid2
 
         dresid1, dg, db = L.layernorm_backward(dh1, c["ln1"])
-        grads[f"blk{i}.ln1.g"] += dg
-        grads[f"blk{i}.ln1.b"] += db
+        _add(grads, f"blk{i}.ln1.g", dg)
+        _add(grads, f"blk{i}.ln1.b", db)
         dout = L.dropout_backward(dresid1, c["out_drop"])
         dctx, dw, db = L.linear_backward(dout, c["out_cache"])
-        grads[f"blk{i}.attn.wo"] += dw
-        grads[f"blk{i}.attn.bo"] += db
+        _add(grads, f"blk{i}.attn.wo", dw)
+        _add(grads, f"blk{i}.attn.bo", db)
 
         dctx_h = dctx.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
         dattn_d = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
@@ -284,8 +295,8 @@ class Encoder:
         for dvec, cache_key, w_name, b_name in (
                 (dq, "q", "wq", "bq"), (dk, "k", "wk", "bk"), (dv, "v", "wv", "bv")):
             dxi, dw, db = L.linear_backward(dvec, c[cache_key])
-            grads[f"blk{i}.attn.{w_name}"] += dw
-            grads[f"blk{i}.attn.{b_name}"] += db
+            _add(grads, f"blk{i}.attn.{w_name}", dw)
+            _add(grads, f"blk{i}.attn.{b_name}", db)
             dx = dx + dxi
         return dx
 
@@ -313,20 +324,23 @@ class Encoder:
                  "lead_shape": lead_shape}
         return logits.reshape(*lead_shape, -1), cache
 
-    def head_backward(self, cache, dlogits):
-        """Backprop the prediction head; returns (grads, d_token_states)."""
-        grads = {}
+    def head_backward(self, cache, dlogits, grads=None):
+        """Backprop the prediction head; returns (grads, d_token_states).
+
+        Head gradients are added into ``grads`` when it is given (rounded as in
+        ``backward``), else returned in a new dict of their own.
+        """
+        head = {}
         flat = dlogits.reshape(-1, dlogits.shape[-1])
-        dbn, dw, db = L.linear_backward(flat, cache["lin2"])
-        grads["head.w2"] = dw
-        grads["head.b2"] = db
-        dg_in, dgam, dbeta = L.batchnorm_backward(dbn, cache["bn"])
-        grads["head.bn.g"] = dgam
-        grads["head.bn.b"] = dbeta
+        dbn, head["head.w2"], head["head.b2"] = L.linear_backward(flat, cache["lin2"])
+        dg_in, head["head.bn.g"], head["head.bn.b"] = L.batchnorm_backward(dbn, cache["bn"])
         du = L.gelu_backward(dg_in, cache["gelu"])
-        dstates, dw, db = L.linear_backward(du, cache["lin1"])
-        grads["head.w1"] = dw
-        grads["head.b1"] = db
+        dstates, head["head.w1"], head["head.b1"] = L.linear_backward(du, cache["lin1"])
+        if grads is None:
+            grads = head
+        else:
+            for name, g in head.items():
+                _add(grads, name, g)
         return grads, dstates.reshape(*cache["lead_shape"], -1)
 
     # -------------------------------------------------------------- persistence
@@ -338,6 +352,12 @@ class Encoder:
     def load_params(self, params: dict, buffers: dict) -> None:
         self.params = {k: v.copy() for k, v in params.items()}
         self.buffers = {k: v.copy() for k, v in buffers.items()}
+
+
+def _add(grads: dict, name: str, g: np.ndarray) -> None:
+    """``grads[name] += g``, with ``g`` first rounded to the buffer's dtype."""
+    buf = grads[name]
+    np.add(buf, g, out=buf, dtype=buf.dtype)
 
 
 def save_checkpoint(encoder: Encoder, path) -> None:

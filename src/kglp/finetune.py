@@ -282,9 +282,7 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
     dpair, dent = vector_grads(pair_out.pooled, ent_out.pooled, dscores, ddiffs)
 
     grads = encoder.backward(pair_cache, d_pooled=dpair)
-    ent_grads = encoder.backward(ent_cache, d_pooled=dent)
-    for name, g in ent_grads.items():
-        grads[name] += g
+    encoder.backward(ent_cache, d_pooled=dent, grads=grads)
     if config.clip_norm:
         clip_global_norm(grads, config.clip_norm)
     optimizer.step(encoder.params, grads, lr_scale)

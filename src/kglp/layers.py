@@ -1,9 +1,18 @@
 """Numpy neural-net primitives with explicit forward/backward pairs.
 
 Every forward returns (output, cache); the matching backward consumes the cache
-and returns input gradients plus parameter gradients. All functions are pure
-and dtype-preserving, which is what makes the finite-difference gradient checks
-in the test suite meaningful.
+and returns input gradients plus parameter gradients. All functions are pure.
+
+Precision follows NumPy 2 promotion (NEP 50): Python float constants take the
+array's dtype, NumPy float64 scalars do not. The GeLU constants are float64
+scalars, so ``gelu_forward`` and ``gelu_backward`` return float64 for float32
+input, and everything computed from their output is float64 as well. With
+float32 parameters the encoder therefore runs in float32 up to the first
+feed-forward GeLU and in float64 after it (block outputs, pooled vectors,
+prediction head, logits and the backward pass); parameters, their gradient
+buffers and the optimizer state stay float32. With float64 parameters every
+function is float64 throughout, which is what the finite-difference gradient
+checks in the test suite use.
 """
 
 from __future__ import annotations
@@ -150,11 +159,34 @@ def cross_entropy(logits, targets):
     return loss, dlogits
 
 
+def scatter_add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``table[ids[i]] += rows[i]`` for every i, repeated ids summed.
+
+    Rows are grouped by a stable sort of their ids and summed per id in the
+    rows' dtype; each touched table row then receives one addition of its sum
+    rounded to the table dtype.
+    """
+    ids = np.asarray(ids).reshape(-1)
+    rows = rows.reshape(ids.size, -1)
+    if ids.size == 0:
+        return
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_ids[1:] != sorted_ids[:-1])))
+    sums = np.add.reduceat(rows[order], starts, axis=0)
+    table[sorted_ids[starts]] += sums.astype(table.dtype, copy=False)
+
+
 def clip_global_norm(grads: dict, max_norm: float) -> float:
-    """Scale all gradients in place so their global L2 norm is <= max_norm."""
+    """Scale all gradients in place so their global L2 norm is <= max_norm.
+
+    The sum of squares accumulates in float64 without a float64 copy of any
+    gradient.
+    """
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        flat = g.reshape(-1)
+        total += float(np.einsum("i,i->", flat, flat, dtype=np.float64))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

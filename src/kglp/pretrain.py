@@ -93,8 +93,12 @@ def _stack_and_trim(samples: list[PretrainSample]):
 
 
 def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
-                  rng=None, need_grads: bool = False):
-    """Forward pass and the two loss terms; gradient context only when asked."""
+                  rng=None, grads: dict | None = None):
+    """Forward pass and the two loss terms.
+
+    With ``grads`` given, the head gradients are added into it and the
+    backward context comes back as the third item; otherwise that item is None.
+    """
     x, mask, y1, y2 = _stack_and_trim(samples)
     out, cache = encoder.forward(x, mask, train=train, rng=rng)
     pos1 = y1 != PAD_ID
@@ -102,14 +106,14 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     pos_any = pos1 | pos2
     if not pos_any.any():
         zero = np.zeros_like(out.token_states)
-        return 0.0, 0.0, (cache, zero, {}, {})
+        return 0.0, 0.0, (cache, zero, {})
     states = out.token_states[pos_any]
     logits, head_cache = encoder.predict_tokens(states, train=train)
     sel1 = pos1[pos_any]
     sel2 = pos2[pos_any]
     mim_loss, dlog1 = cross_entropy(logits[sel1], y1[pos1])
     mlm_loss, dlog2 = cross_entropy(logits[sel2], y2[pos2])
-    if not need_grads:
+    if grads is None:
         return mlm_loss, mim_loss, None
 
     # split the item term by the task that produced each sample
@@ -124,10 +128,10 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     dlogits = np.zeros_like(logits)
     dlogits[sel1] = dlog1
     dlogits[sel2] = dlog2
-    head_grads, dstates = encoder.head_backward(head_cache, dlogits)
+    _, dstates = encoder.head_backward(head_cache, dlogits, grads)
     d_token_states = np.zeros_like(out.token_states)
     d_token_states[pos_any] = dstates
-    return mlm_loss, mim_loss, (cache, d_token_states, head_grads, task_losses)
+    return mlm_loss, mim_loss, (cache, d_token_states, task_losses)
 
 
 def pretrain_step(samples: list[PretrainSample], encoder: Encoder,
@@ -141,14 +145,13 @@ def pretrain_step(samples: list[PretrainSample], encoder: Encoder,
     """
     if not samples:
         raise ValueError("empty batch")
+    grads = encoder.zero_grads()
     mlm_loss, mim_loss, ctx = _batch_losses(encoder, samples, train=True, rng=rng,
-                                            need_grads=True)
+                                            grads=grads)
     if not (math.isfinite(mlm_loss) and math.isfinite(mim_loss)):
         raise TrainingDiverged(-1, {}, [])
-    cache, d_token_states, head_grads, task_losses = ctx
-    grads = encoder.backward(cache, d_states=d_token_states)
-    for name, g in head_grads.items():
-        grads[name] += g
+    cache, d_token_states, task_losses = ctx
+    encoder.backward(cache, d_states=d_token_states, grads=grads)
     if clip_norm:
         clip_global_norm(grads, clip_norm)
     optimizer.step(encoder.params, grads, lr_scale)

@@ -140,6 +140,12 @@ def test_unknown_config_key_exits_2(cli_dataset, tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_threads_is_not_a_config_key(cli_dataset, tmp_path, capsys):
+    assert main(["ingest", str(cli_dataset), "--out", str(tmp_path / "o"),
+                 "--set", "threads=2"]) == 2
+    assert "threads" in capsys.readouterr().err
+
+
 def test_pretrain_requires_ingest(tmp_path, capsys):
     assert main(["pretrain", "--out", str(tmp_path / "empty")]) == 2
     assert "ingest" in capsys.readouterr().err
@@ -195,6 +201,15 @@ def test_predict_known_head(cli_run, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert len(out) == 3
     assert out[0].lstrip().startswith("1")
+
+
+def test_predict_refuses_table_of_another_checkpoint(cli_run, capsys):
+    assert main(["predict", "--out", str(cli_run), "--head", "a001",
+                 "--relation", "linksto", "--checkpoint",
+                 str(cli_run / "pretrain.npz")]) == 2
+    captured = capsys.readouterr()
+    assert "kglp finetune" in captured.err
+    assert captured.out == ""
 
 
 def test_predict_k_larger_than_catalog(cli_run, capsys):

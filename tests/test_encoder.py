@@ -5,9 +5,10 @@ import pytest
 
 from kglp.encoder import (CheckpointError, Encoder, EncoderConfig, init_params,
                           load_checkpoint, param_group, save_checkpoint)
-from kglp.layers import cross_entropy
+from kglp import layers
+from kglp.layers import cross_entropy, scatter_add_rows
 
-from util import rel_error
+from util import reference_scatter_add_rows, rel_error, two_buffer_backward
 
 
 CFG = EncoderConfig(vocab_size=40, hidden_size=32, num_layers=2, num_heads=4,
@@ -268,3 +269,56 @@ def test_batchnorm_running_stats_update_only_in_training(rng):
     assert (enc.buffers["head.bn.mean"] == before).all()
     enc.predict_tokens(states, train=True)
     assert (enc.buffers["head.bn.mean"] != before).any()
+
+
+def test_float32_params_compute_in_float64_after_first_gelu(rng):
+    """Pins the precision the encoder actually runs at under NumPy 2 promotion.
+
+    A change here changes the numbers the model computes, not only their
+    summation order.
+    """
+    enc = Encoder(CFG, seed=7)
+    assert all(p.dtype == np.float32 for p in enc.params.values())
+    tokens, mask = batch(rng)
+    out, cache = enc.forward(tokens, mask, train=False)
+    assert out.token_states.dtype == np.float64
+    assert out.pooled.dtype == np.float64
+    logits, _ = enc.predict_tokens(out.token_states[:, 1], train=False)
+    assert logits.dtype == np.float64
+    grads = enc.backward(cache, d_pooled=np.ones_like(out.pooled))
+    assert all(grads[k].dtype == np.float32 for k in enc.params)
+
+
+def test_scatter_add_rows_matches_unbuffered_reference(rng):
+    table = rng.standard_normal((40, 8)).astype(np.float32)
+    ids = rng.integers(0, 12, size=(6, 20))  # few distinct ids, many repeats
+    rows = rng.standard_normal((6, 20, 8))   # float64, as the backward delivers
+    ref = table.copy()
+    reference_scatter_add_rows(ref, ids, rows)
+    scatter_add_rows(table, ids, rows)
+    np.testing.assert_allclose(table, ref, rtol=1e-5, atol=1e-5)
+    untouched = np.setdiff1d(np.arange(40), ids)
+    assert np.array_equal(table[untouched], ref[untouched])
+
+
+def test_one_buffer_finetune_backward_matches_two_buffer_merge(rng, monkeypatch):
+    cfg = EncoderConfig(vocab_size=40, hidden_size=32, num_layers=2, num_heads=4,
+                        ff_size=48, max_len=24, dropout=0.1)
+    enc = Encoder(cfg, seed=3)
+    drop = np.random.default_rng(5)
+    pair_out, pair_cache = enc.forward(*batch(rng, n=5, s=12), train=True, rng=drop)
+    ent_out, ent_cache = enc.forward(*batch(rng, n=5, s=8), train=True, rng=drop)
+    dpair = rng.standard_normal(pair_out.pooled.shape)
+    dent = rng.standard_normal(ent_out.pooled.shape)
+
+    grads = enc.backward(pair_cache, d_pooled=dpair)
+    assert enc.backward(ent_cache, d_pooled=dent, grads=grads) is grads
+
+    monkeypatch.setattr(layers, "scatter_add_rows", reference_scatter_add_rows)
+    ref = two_buffer_backward(enc, [(pair_cache, dpair), (ent_cache, dent)])
+    assert list(grads) == list(ref) == list(enc.params)
+    for name in enc.params:
+        if name == "tok_emb":
+            np.testing.assert_allclose(grads[name], ref[name], rtol=1e-5, atol=1e-6)
+        else:
+            assert np.array_equal(grads[name], ref[name]), name

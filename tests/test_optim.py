@@ -4,6 +4,8 @@ import pytest
 from kglp.layers import clip_global_norm
 from kglp.optim import AdamW, warmup_linear_decay
 
+from util import reference_adamw_step, reference_clip_global_norm
+
 
 def test_schedule_endpoints():
     total, frac = 1000, 0.05
@@ -71,3 +73,63 @@ def test_clip_global_norm():
     grads2 = {"a": np.array([0.3])}
     clip_global_norm(grads2, 1.0)
     assert grads2["a"][0] == pytest.approx(0.3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("weight_decay", [0.01, 0.0])
+def test_adamw_bit_identical_to_whole_array_reference(dtype, weight_decay):
+    # sizes on both sides of the 32768-element block, none a multiple of it
+    shapes = {"tok_emb": (300, 131), "blk0.attn.wq": (16, 16), "blk0.ln1.g": (16,),
+              "head.w2": (16, 2049), "head.b2": (70001,), "head.bn.g": (5,)}
+    rng = np.random.default_rng(7)
+    params = {k: (rng.standard_normal(s) * 0.02).astype(dtype) for k, s in shapes.items()}
+    ref_params = {k: v.copy() for k, v in params.items()}
+    opt = AdamW({"linear": 1e-3, "attention": 5e-5}, weight_decay=weight_decay)
+    ref = AdamW({"linear": 1e-3, "attention": 5e-5}, weight_decay=weight_decay)
+    for step in range(6):
+        grads = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
+        lr_scale = warmup_linear_decay(step, 6, 0.3)
+        opt.step(params, {k: g.copy() for k, g in grads.items()}, lr_scale)
+        reference_adamw_step(ref, ref_params, grads, lr_scale)
+    assert opt.t == ref.t
+    for k in shapes:
+        assert np.array_equal(params[k], ref_params[k]), k
+        assert np.array_equal(opt.m[k], ref.m[k]), k
+        assert np.array_equal(opt.v[k], ref.v[k]), k
+
+
+@pytest.mark.parametrize("bad", ["parameter", "gradient", "moment", "dtype"])
+def test_adamw_refuses_arrays_it_cannot_update_in_place(bad):
+    params = {"tok_emb": np.ones((4, 6), dtype=np.float32)}
+    grads = {"tok_emb": np.ones((4, 6), dtype=np.float32)}
+    opt = AdamW({"linear": 1e-2, "attention": 1e-2})
+    if bad == "parameter":
+        params["tok_emb"] = np.ones((4, 12), dtype=np.float32)[:, ::2]
+    elif bad == "gradient":
+        grads["tok_emb"] = np.asfortranarray(grads["tok_emb"])
+    elif bad == "moment":
+        opt.step(params, grads, 1.0)
+        opt.m["tok_emb"] = np.zeros((6, 4), dtype=np.float32).T
+    else:
+        grads["tok_emb"] = grads["tok_emb"].astype(np.float64)
+    before = params["tok_emb"].copy()
+    with pytest.raises(ValueError, match="tok_emb"):
+        opt.step(params, grads, 1.0)
+    assert np.array_equal(params["tok_emb"], before)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_clip_global_norm_matches_float64_copy_reference(dtype):
+    rng = np.random.default_rng(3)
+    shapes = [(3000, 128), (128,), (128, 129), (1,)]
+    grads = {str(i): (rng.standard_normal(s) * 0.05).astype(dtype)
+             for i, s in enumerate(shapes)}
+    ref = {k: g.copy() for k, g in grads.items()}
+    norm = clip_global_norm(grads, 1.0)
+    ref_norm = reference_clip_global_norm(ref, 1.0)
+    assert norm > 1.0
+    assert abs(norm - ref_norm) <= 1e-12 * ref_norm
+    # the scales agree to 1e-12, the scaled values to that plus rounding
+    for k in grads:
+        np.testing.assert_allclose(grads[k], ref[k],
+                                   rtol=1e-12 + 2 * np.finfo(dtype).eps, atol=0)

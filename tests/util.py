@@ -212,3 +212,60 @@ class ForcedRng:
 
     def integers(self, low, high, size=None):
         return np.full(size, self.integer) if size is not None else self.integer
+
+
+# ------------------------------------- reference copies of replaced code paths
+
+def reference_adamw_step(opt, params: dict, grads: dict, lr_scale: float = 1.0) -> None:
+    """Whole-array AdamW update that the blocked in-place ``AdamW.step``
+    replaced; reads and writes the same optimizer state fields."""
+    opt.t += 1
+    bc1 = 1.0 - opt.beta1 ** opt.t
+    bc2 = 1.0 - opt.beta2 ** opt.t
+    for name, g in grads.items():
+        p = params[name]
+        lr = opt.lr_groups[opt.group_fn(name)] * lr_scale
+        if name not in opt.m:
+            opt.m[name] = np.zeros_like(p)
+            opt.v[name] = np.zeros_like(p)
+        m, v = opt.m[name], opt.v[name]
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + opt.eps)
+        if opt.weight_decay and p.ndim >= 2:
+            update = update + opt.weight_decay * p
+        p -= (lr * update).astype(p.dtype)
+
+
+def reference_scatter_add_rows(table, ids, rows) -> None:
+    """Unbuffered per-row scatter that ``scatter_add_rows`` replaced."""
+    np.add.at(table, ids, rows)
+
+
+def reference_clip_global_norm(grads: dict, max_norm: float) -> float:
+    """Global-norm clipping through float64 copies of every gradient."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm and norm > 0.0:
+        scale = max_norm / norm
+        for g in grads.values():
+            g *= scale
+    return norm
+
+
+def two_buffer_backward(encoder, passes) -> dict:
+    """Fine-tuning backward as two gradient dicts and a merge loop.
+
+    ``passes`` is a sequence of (forward cache, d_pooled); each pass gets a
+    fresh dict and the later ones are summed into the first.
+    """
+    (cache, d_pooled), *rest = passes
+    grads = encoder.backward(cache, d_pooled=d_pooled)
+    for cache, d_pooled in rest:
+        for name, g in encoder.backward(cache, d_pooled=d_pooled).items():
+            grads[name] += g
+    return grads
