@@ -316,7 +316,8 @@ def cmd_predict(args) -> int:
     import numpy as np
     from .data import build_filter_index
     from .encoder import load_checkpoint
-    from .evaluate import _encode_pooled, _unit_rows
+    from .evaluate import query_scores
+    from .layers import unit_rows
     from .text import TokenizedCatalog, assemble_pair, assemble_pair_tokens, tokenize
 
     out_dir = Path(args.out)
@@ -357,8 +358,7 @@ def cmd_predict(args) -> int:
                                       cat, pair_max_len)
         filter_key = None
 
-    pooled = _encode_pooled(encoder, [layout], batch_size=1)
-    scores = (_unit_rows(pooled) @ _unit_rows(table).T)[0]
+    scores = query_scores(encoder, [layout], unit_rows(table)[0])[0]
 
     known = set()
     if args.filtered and filter_key is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
+from .data import SPLITS
 from .encoder import EncoderConfig
 from .finetune import FinetuneConfig
 from .pretrain import PretrainConfig
@@ -144,30 +145,20 @@ def apply_values(config: RunConfig, values: dict[str, object]) -> None:
 
 
 def _validate(config: RunConfig) -> None:
+    # the encoder config and the focal parameters check their own ranges; any
+    # valid vocabulary size stands in for the one ingest finds
+    for section, build in (("encoder", lambda: config.encoder.build(vocab_size=1)),
+                           ("finetune", config.finetune.focal)):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from None
     checks = [
         (config.vocab.min_freq >= 1, "vocab.min_freq must be >= 1"),
-        (config.encoder.hidden_size >= 1, "encoder.hidden_size must be >= 1"),
-        (config.encoder.hidden_size % config.encoder.num_heads == 0,
-         "encoder.hidden_size must be divisible by encoder.num_heads"),
-        (0.0 <= config.encoder.dropout < 1.0, "encoder.dropout must be in [0, 1)"),
-        (config.pretrain.epochs >= 1, "pretrain.epochs must be >= 1"),
-        (config.pretrain.batch_size >= 1, "pretrain.batch_size must be >= 1"),
-        (config.pretrain.lr_linear > 0 and config.pretrain.lr_attention > 0,
-         "pretrain learning rates must be positive"),
-        (0.0 <= config.pretrain.warmup_frac < 1.0,
-         "pretrain.warmup_frac must be in [0, 1)"),
         (config.pretrain.patience >= 1, "pretrain.patience must be >= 1"),
         (config.pretrain.max_len >= 16, "pretrain.max_len must be >= 16"),
         (config.pretrain.max_len <= config.encoder.max_len,
          "pretrain.max_len cannot exceed encoder.max_len"),
-        (config.finetune.epochs >= 1, "finetune.epochs must be >= 1"),
-        (config.finetune.batch_size >= 1, "finetune.batch_size must be >= 1"),
-        (0.0 < config.finetune.alpha < 1.0, "finetune.alpha must be in (0, 1)"),
-        (config.finetune.gamma >= 0.0, "finetune.gamma must be >= 0"),
-        (config.finetune.lr_linear > 0 and config.finetune.lr_attention > 0,
-         "finetune learning rates must be positive"),
-        (0.0 <= config.finetune.warmup_frac < 1.0,
-         "finetune.warmup_frac must be in [0, 1)"),
         (config.finetune.pair_max_len >= 16, "finetune.pair_max_len must be >= 16"),
         (config.finetune.entity_max_len >= 8, "finetune.entity_max_len must be >= 8"),
         (max(config.finetune.pair_max_len, config.finetune.entity_max_len)
@@ -176,8 +167,23 @@ def _validate(config: RunConfig) -> None:
         (config.finetune.negative_mode in ("in_batch", "uniform_k"),
          "finetune.negative_mode must be 'in_batch' or 'uniform_k'"),
         (config.finetune.num_negatives >= 1, "finetune.num_negatives must be >= 1"),
+        (config.finetune.eval_every >= 1, "finetune.eval_every must be >= 1"),
+        (set(config.finetune.label_splits) <= set(SPLITS),
+         f"finetune.label_splits must name splits among {', '.join(SPLITS)}"),
         (config.seed >= 0, "seed must be >= 0"),
     ]
+    for name in ("pretrain", "finetune"):
+        section = getattr(config, name)
+        checks += [
+            (section.epochs >= 1, f"{name}.epochs must be >= 1"),
+            (section.batch_size >= 1, f"{name}.batch_size must be >= 1"),
+            (section.lr_linear > 0 and section.lr_attention > 0,
+             f"{name} learning rates must be positive"),
+            (0.0 <= section.warmup_frac < 1.0, f"{name}.warmup_frac must be in [0, 1)"),
+            (section.clip_norm >= 0.0, f"{name}.clip_norm must be >= 0 (0 disables it)"),
+            (section.weight_decay >= 0.0, f"{name}.weight_decay must be >= 0"),
+            (section.log_every >= 1, f"{name}.log_every must be >= 1"),
+        ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)

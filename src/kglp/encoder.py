@@ -38,13 +38,13 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.hidden_size % self.num_heads != 0:
-            raise ValueError(
-                f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
         for name in ("vocab_size", "hidden_size", "num_layers", "num_heads",
                      "ff_size", "max_len"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.hidden_size % self.num_heads != 0:
+            raise ValueError(
+                f"hidden_size {self.hidden_size} not divisible by num_heads {self.num_heads}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -101,12 +101,13 @@ def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> tuple[dic
     p["head.bn.b"] = np.zeros(d, dtype=dtype)
     p["head.w2"] = gauss(d, v)
     p["head.b2"] = np.zeros(v, dtype=dtype)
+    return p, init_buffers(config, dtype)
 
-    buffers = {
-        "head.bn.mean": np.zeros(d, dtype=dtype),
-        "head.bn.var": np.ones(d, dtype=dtype),
-    }
-    return p, buffers
+
+def init_buffers(config: EncoderConfig, dtype=np.float32) -> dict:
+    """Running statistics of the head's batch norm: zero mean, unit variance."""
+    return {"head.bn.mean": np.zeros(config.hidden_size, dtype=dtype),
+            "head.bn.var": np.ones(config.hidden_size, dtype=dtype)}
 
 
 class Encoder:
@@ -123,10 +124,7 @@ class Encoder:
             params, buffers = init_params(config, seed, dtype)
         self.dtype = next(iter(params.values())).dtype
         self.params = params
-        self.buffers = buffers if buffers is not None else {
-            "head.bn.mean": np.zeros(config.hidden_size, dtype=dtype),
-            "head.bn.var": np.ones(config.hidden_size, dtype=dtype),
-        }
+        self.buffers = buffers if buffers is not None else init_buffers(config, dtype)
 
     # ------------------------------------------------------------------ forward
 

@@ -21,7 +21,9 @@ import numpy as np
 
 from .data import FilterIndex, KnowledgeGraph, build_filter_index
 from .encoder import Encoder
-from .text import TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair
+from .layers import unit_rows
+from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
+                   stack_layouts)
 
 
 @dataclass(frozen=True)
@@ -80,21 +82,16 @@ def precompute_entity_embeddings(encoder: Encoder, cat: TokenizedCatalog,
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
-    rows = []
-    for start in range(0, len(layouts), batch_size):
-        chunk = layouts[start:start + batch_size]
-        tokens = np.stack([l.tokens for l in chunk])
-        mask = np.stack([l.mask for l in chunk])
-        longest = max(l.length for l in chunk)
-        trim = min(tokens.shape[1], -(-longest // 8) * 8)
-        out = encoder.encode(tokens[:, :trim], mask[:, :trim])
-        rows.append(out.pooled)
+    rows = [encoder.encode(*stack_layouts(layouts[start:start + batch_size])).pooled
+            for start in range(0, len(layouts), batch_size)]
     return np.concatenate(rows, axis=0)
 
 
-def _unit_rows(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=-1, keepdims=True)
-    return x / np.where(norms == 0.0, 1.0, norms)
+def query_scores(encoder: Encoder, pair_layouts, table_unit: np.ndarray) -> np.ndarray:
+    """Cosine scores (queries x entities) of pair layouts, encoded as one batch,
+    against unit-norm entity rows."""
+    pooled = _encode_pooled(encoder, pair_layouts, len(pair_layouts))
+    return unit_rows(pooled)[0] @ table_unit.T
 
 
 def rank_from_scores(scores: np.ndarray, gold: int, known_true: set[int]) -> int:
@@ -121,8 +118,7 @@ def rank_query(query: RankingQuery, encoder: Encoder, cat: TokenizedCatalog,
                pair_max_len: int = 96) -> int:
     """Filtered rank of one query against the precomputed entity table."""
     layout = assemble_pair(cat, query.entity, query.relation, pair_max_len)
-    pooled = _encode_pooled(encoder, [layout], batch_size=1)
-    scores = (_unit_rows(pooled) @ _unit_rows(entity_table).T)[0]
+    scores = query_scores(encoder, [layout], unit_rows(entity_table)[0])[0]
     return rank_from_scores(scores, query.gold, filter_index[(query.entity, query.relation)])
 
 
@@ -157,7 +153,7 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
         return RankingReport(split=split, n_queries=0, hits1=0.0, hits3=0.0,
                              hits10=0.0, mr=0.0, mrr=0.0)
     table = precompute_entity_embeddings(encoder, cat, entity_max_len, batch_size)
-    table_unit = _unit_rows(table)
+    table_unit, _ = unit_rows(table)
 
     pair_layouts = [assemble_pair(cat, q.entity, q.relation, pair_max_len)
                     for q in queries]
@@ -165,9 +161,7 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
     per_query = []
     for start in range(0, len(queries), batch_size):
         chunk = queries[start:start + batch_size]
-        pooled = _encode_pooled(encoder, pair_layouts[start:start + batch_size],
-                                batch_size)
-        scores = _unit_rows(pooled) @ table_unit.T
+        scores = query_scores(encoder, pair_layouts[start:start + batch_size], table_unit)
         for j, q in enumerate(chunk):
             rank = rank_from_scores(scores[j], q.gold,
                                     filter_index[(q.entity, q.relation)])

@@ -23,12 +23,13 @@ from scipy.special import expit
 
 from .data import FilterIndex, KnowledgeGraph, Triple, build_filter_index
 from .encoder import Encoder
-from .layers import clip_global_norm
+from .layers import clip_global_norm, unit_rows
 from .optim import AdamW, warmup_linear_decay
 from .pretrain import TrainingDiverged
 from .sampling import derive_rng
 from .evaluate import evaluate as evaluate_ranking
-from .text import TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair
+from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
+                   stack_layouts)
 
 logger = logging.getLogger(__name__)
 
@@ -71,12 +72,6 @@ def build_label_matrix(batch: list[Triple], filter_index: FilterIndex) -> np.nda
     return y
 
 
-def _normalize_rows(vectors: np.ndarray):
-    """Row-normalize; zero rows stay zero so their cosines come out as 0."""
-    norms = np.linalg.norm(vectors, axis=-1, keepdims=True)
-    return vectors / np.where(norms == 0.0, 1.0, norms), norms
-
-
 def _count_zero_norms(*norm_arrays) -> None:
     global zero_norm_count
     zeros = sum(int((n == 0.0).sum()) for n in norm_arrays)
@@ -87,8 +82,9 @@ def _count_zero_norms(*norm_arrays) -> None:
 
 def score_batch(pair_vectors: np.ndarray, entity_vectors: np.ndarray) -> np.ndarray:
     """Full cosine-similarity matrix between the two encoded sides."""
-    u, pn = _normalize_rows(pair_vectors)
-    v, en = _normalize_rows(entity_vectors)
+    # zero rows stay zero, so their cosines come out as 0
+    u, pn = unit_rows(pair_vectors)
+    v, en = unit_rows(entity_vectors)
     _count_zero_norms(pn, en)
     # rounding can push a perfect match to 1 + eps; the matrix contract is [-1, 1]
     return np.clip(u @ v.T, -1.0, 1.0)
@@ -118,13 +114,16 @@ def joint_loss(scores: np.ndarray, diff_sums: np.ndarray, labels: np.ndarray,
     ``cell_mask`` restricts the mean to a subset of cells (used by the
     random-negatives ablation); None means all cells participate.
     """
-    loss, _, _ = joint_loss_with_grads(scores, diff_sums, labels, fp, cell_mask)
-    return loss
+    return joint_loss_with_grads(scores, diff_sums, labels, fp, cell_mask)[0]
 
 
 def joint_loss_with_grads(scores, diff_sums, labels, fp: FocalParams,
                           cell_mask=None):
-    """(loss, d_loss/d_scores, d_loss/d_diff_sums), gradients already meaned."""
+    """(loss, l1_mean, l2_mean, d_loss/d_scores, d_loss/d_diff_sums).
+
+    ``l1_mean`` and ``l2_mean`` are the focal and sigmoid terms averaged over
+    the participating cells; the gradients are already meaned.
+    """
     _check_finite("scores", scores)
     _check_finite("diff_sums", diff_sums)
     scores = scores.astype(np.float64)
@@ -146,9 +145,11 @@ def joint_loss_with_grads(scores, diff_sums, labels, fp: FocalParams,
     if cell_mask is None:
         n_cells = scores.size
         weight = np.full(scores.shape, 1.0 / n_cells)
+        l1_mean, l2_mean = l1.mean(), l2.mean()
     else:
         n_cells = int(cell_mask.sum())
         weight = np.where(cell_mask, 1.0 / n_cells, 0.0)
+        l1_mean, l2_mean = l1[cell_mask].mean(), l2[cell_mask].mean()
     loss = float(((l1 + l2) * weight).sum())
 
     dl1_dp = np.where(
@@ -160,13 +161,13 @@ def joint_loss_with_grads(scores, diff_sums, labels, fp: FocalParams,
     unclipped = (raw_p > _P_EPS) & (raw_p < 1.0 - _P_EPS)
     dscores = dl1_dp * 0.5 * unclipped * weight
     ddiffs = np.where(pos, 1.0, -1.0) * sig * (1.0 - sig) * weight
-    return loss, dscores, ddiffs
+    return loss, float(l1_mean), float(l2_mean), dscores, ddiffs
 
 
 def vector_grads(pair_vectors, entity_vectors, dscores, ddiffs):
     """Backprop cell gradients through the cosine and L1-distance maps."""
-    u, pn = _normalize_rows(pair_vectors)
-    v, en = _normalize_rows(entity_vectors)
+    u, pn = unit_rows(pair_vectors)
+    v, en = unit_rows(entity_vectors)
 
     # cosine backward through the row normalizations
     du = dscores @ v
@@ -185,13 +186,21 @@ def vector_grads(pair_vectors, entity_vectors, dscores, ddiffs):
     return dpair.astype(pair_vectors.dtype), dent.astype(entity_vectors.dtype)
 
 
+def _cell_loss(pair_vectors, entity_vectors, labels, fp: FocalParams, cell_mask=None):
+    """(loss, l1_mean, l2_mean, d_pair_vectors, d_entity_vectors) of one batch."""
+    scores = score_batch(pair_vectors, entity_vectors)
+    diffs = abs_diff_sums(pair_vectors, entity_vectors)
+    loss, l1_mean, l2_mean, dscores, ddiffs = joint_loss_with_grads(
+        scores, diffs, labels, fp, cell_mask)
+    dpair, dent = vector_grads(pair_vectors, entity_vectors, dscores, ddiffs)
+    return loss, l1_mean, l2_mean, dpair, dent
+
+
 def loss_and_vector_grads(pair_vectors, entity_vectors, labels, fp: FocalParams,
                           cell_mask=None):
     """Joint loss plus gradients w.r.t. the raw encoded vectors of both sides."""
-    scores = score_batch(pair_vectors, entity_vectors)
-    diffs = abs_diff_sums(pair_vectors, entity_vectors)
-    loss, dscores, ddiffs = joint_loss_with_grads(scores, diffs, labels, fp, cell_mask)
-    dpair, dent = vector_grads(pair_vectors, entity_vectors, dscores, ddiffs)
+    loss, _, _, dpair, dent = _cell_loss(pair_vectors, entity_vectors, labels, fp,
+                                         cell_mask)
     return loss, dpair, dent
 
 
@@ -228,23 +237,20 @@ class FinetuneStepReport:
     n_neg: int
 
 
-def _encode_layouts(encoder, layouts, train, rng):
-    tokens = np.stack([l.tokens for l in layouts])
-    mask = np.stack([l.mask for l in layouts])
-    longest = max(l.length for l in layouts)
-    trim = min(tokens.shape[1], -(-longest // 8) * 8)
-    return encoder.forward(tokens[:, :trim], mask[:, :trim], train=train, rng=rng)
-
-
 def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
                   label_filter: FilterIndex, optimizer: AdamW, lr_scale: float,
                   config: FinetuneConfig, rng: np.random.Generator,
                   neg_rng: np.random.Generator | None = None) -> FinetuneStepReport:
-    """One update: two encoder passes, one n x m cell loss, one optimizer step."""
+    """One update: two encoder passes, one n x m cell loss, one optimizer step.
+
+    Raises TrainingDiverged (before any parameter update) if an encoded vector
+    is non-finite; the caller decorates the exception with step context.
+    """
     fp = config.focal()
     pair_layouts = [assemble_pair(cat, t.head, t.relation, config.pair_max_len)
                     for t in batch]
-    pair_out, pair_cache = _encode_layouts(encoder, pair_layouts, True, rng)
+    pair_out, pair_cache = encoder.forward(*stack_layouts(pair_layouts), train=True,
+                                           rng=rng)
 
     if config.negative_mode == "in_batch":
         ent_ids = np.array([t.tail for t in batch])
@@ -272,14 +278,12 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
 
     ent_layouts = [assemble_entity(cat, int(e), config.entity_max_len)
                    for e in ent_ids]
-    ent_out, ent_cache = _encode_layouts(encoder, ent_layouts, True, rng)
-
-    scores = score_batch(pair_out.pooled, ent_out.pooled)
-    diffs = abs_diff_sums(pair_out.pooled, ent_out.pooled)
-    loss, dscores, ddiffs = joint_loss_with_grads(scores, diffs, labels, fp, cell_mask)
-    if not math.isfinite(loss):
+    ent_out, ent_cache = encoder.forward(*stack_layouts(ent_layouts), train=True,
+                                         rng=rng)
+    if not (np.isfinite(pair_out.pooled).all() and np.isfinite(ent_out.pooled).all()):
         raise TrainingDiverged(-1, {}, [])
-    dpair, dent = vector_grads(pair_out.pooled, ent_out.pooled, dscores, ddiffs)
+    loss, l1, l2, dpair, dent = _cell_loss(pair_out.pooled, ent_out.pooled, labels,
+                                           fp, cell_mask)
 
     grads = encoder.backward(pair_cache, d_pooled=dpair)
     encoder.backward(ent_cache, d_pooled=dent, grads=grads)
@@ -288,24 +292,9 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
     optimizer.step(encoder.params, grads, lr_scale)
 
     considered = labels if cell_mask is None else labels[cell_mask]
-    n_pos = int(np.asarray(considered).sum())
-    n_cells = labels.size if cell_mask is None else int(cell_mask.sum())
-    l1, l2 = _loss_components(scores, diffs, labels, fp, cell_mask)
+    n_pos = int(considered.sum())
     return FinetuneStepReport(loss=loss, l1_mean=l1, l2_mean=l2,
-                              n_pos=n_pos, n_neg=n_cells - n_pos)
-
-
-def _loss_components(scores, diffs, labels, fp, cell_mask=None):
-    """Mean L1 (focal) and L2 (sigmoid) terms, for reporting."""
-    pos = labels.astype(bool)
-    p = np.clip((scores.astype(np.float64) + 1.0) / 2.0, _P_EPS, 1.0 - _P_EPS)
-    l1 = np.where(pos, -fp.alpha * (1.0 - p) ** fp.gamma * np.log(p),
-                  -(1.0 - fp.alpha) * p ** fp.gamma * np.log1p(-p))
-    sig = expit(diffs.astype(np.float64))
-    l2 = np.where(pos, sig, 1.0 - sig)
-    if cell_mask is None:
-        return float(l1.mean()), float(l2.mean())
-    return float(l1[cell_mask].mean()), float(l2[cell_mask].mean())
+                              n_pos=n_pos, n_neg=considered.size - n_pos)
 
 
 def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,

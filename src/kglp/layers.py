@@ -129,6 +129,12 @@ def dropout_backward(dout, keep):
     return dout * keep
 
 
+def unit_rows(x):
+    """(rows scaled to unit L2 norm, their norms); zero rows stay zero."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms), norms
+
+
 def per_row_nll(logits, targets):
     """Per-row negative log-likelihood (no gradient), float64."""
     n = logits.shape[0]

@@ -23,7 +23,7 @@ from .encoder import Encoder
 from .layers import clip_global_norm, cross_entropy, per_row_nll
 from .optim import AdamW, warmup_linear_decay
 from .sampling import PretrainSample, build_pretrain_sample, derive_rng
-from .text import PAD_ID, TokenizedCatalog, Vocabulary
+from .text import PAD_ID, TokenizedCatalog, Vocabulary, trim_width
 
 logger = logging.getLogger(__name__)
 
@@ -76,22 +76,6 @@ class PretrainLossReport:
         return self.mlm_loss + self.mim_loss
 
 
-def _stack_and_trim(samples: list[PretrainSample]):
-    """Batch arrays trimmed to the longest real sequence (multiple of 8).
-
-    Safe by the encoder's padding invariance; targets only exist inside the
-    non-PAD content so nothing is cut.
-    """
-    max_len = samples[0].x.shape[0]
-    longest = max(s.layout.length for s in samples)
-    trim = min(max_len, -(-longest // 8) * 8)
-    x = np.stack([s.x[:trim] for s in samples])
-    mask = np.stack([s.mask[:trim] for s in samples])
-    y1 = np.stack([s.y1[:trim] for s in samples])
-    y2 = np.stack([s.y2[:trim] for s in samples])
-    return x, mask, y1, y2
-
-
 def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
                   rng=None, grads: dict | None = None):
     """Forward pass and the two loss terms.
@@ -99,7 +83,12 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     With ``grads`` given, the head gradients are added into it and the
     backward context comes back as the third item; otherwise that item is None.
     """
-    x, mask, y1, y2 = _stack_and_trim(samples)
+    # targets only exist inside the non-PAD content, so trimming cuts none
+    width = trim_width([s.layout.length for s in samples], samples[0].x.shape[0])
+    x = np.stack([s.x[:width] for s in samples])
+    mask = np.stack([s.mask[:width] for s in samples])
+    y1 = np.stack([s.y1[:width] for s in samples])
+    y2 = np.stack([s.y2[:width] for s in samples])
     out, cache = encoder.forward(x, mask, train=train, rng=rng)
     pos1 = y1 != PAD_ID
     pos2 = y2 != PAD_ID

@@ -232,8 +232,19 @@ def assemble_entity(cat: TokenizedCatalog, entity: int, max_len: int) -> Sequenc
     ], max_len)
 
 
+def trim_width(lengths, cap: int) -> int:
+    """Batch width: the longest real length rounded up to a multiple of 8,
+    capped at the layout length ``cap``.
+
+    Cutting a batch to this width drops only PAD columns, which the encoder
+    ignores (its outputs are padding-invariant).
+    """
+    return min(cap, -(-max(lengths) // 8) * 8)
+
+
 def stack_layouts(layouts: list[SequenceLayout]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack layouts into (tokens, mask) batch arrays."""
-    tokens = np.stack([l.tokens for l in layouts])
-    mask = np.stack([l.mask for l in layouts])
+    """Stack layouts into (tokens, mask) batch arrays cut to ``trim_width``."""
+    width = trim_width([l.length for l in layouts], layouts[0].tokens.shape[0])
+    tokens = np.stack([l.tokens[:width] for l in layouts])
+    mask = np.stack([l.mask[:width] for l in layouts])
     return tokens, mask

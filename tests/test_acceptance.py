@@ -151,17 +151,18 @@ def test_c4_oracle_equivalence(tmp_path, rng):
                                         num_layers=1, num_heads=2, ff_size=16,
                                         max_len=32), seed=trial)
         # evaluator vs a brute-force reference on the same embeddings
-        from kglp.evaluate import precompute_entity_embeddings, _encode_pooled, _unit_rows
+        from kglp.evaluate import precompute_entity_embeddings, _encode_pooled
+        from kglp.layers import unit_rows
         from kglp.text import assemble_pair
         filt = build_filter_index(kg)
         table = precompute_entity_embeddings(encoder, cat, 16)
-        table_unit = _unit_rows(table)
+        table_unit = unit_rows(table)[0]
         report = evaluate(kg, encoder, "test", vocab=vocab, pair_max_len=32,
                           entity_max_len=16)
         for entry in report.per_query:
             layout = assemble_pair(cat, entry["entity"], entry["relation"], 32)
             pooled = _encode_pooled(encoder, [layout], 1)
-            scores = (_unit_rows(pooled) @ table_unit.T)[0]
+            scores = (unit_rows(pooled)[0] @ table_unit.T)[0]
             want = naive_rank(scores, entry["gold"],
                               filt[(entry["entity"], entry["relation"])])
             if want != entry["rank"]:

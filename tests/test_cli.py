@@ -1,5 +1,7 @@
 import json
+import re
 
+import numpy as np
 import pytest
 
 import kglp
@@ -62,9 +64,22 @@ def test_config_bad_line_rejected(tmp_path):
         parse_config_file(cfg)
 
 
-def test_config_out_of_range_rejected():
+def test_config_out_of_range_rejected(cli_dataset, tmp_path, capsys):
     with pytest.raises(ConfigError, match="alpha"):
         load_run_config(None, {"finetune.alpha": "1.5"})
+    for key, value in [("encoder.num_heads", "0"), ("encoder.hidden_size", "0"),
+                       ("encoder.hidden_size", "30"), ("encoder.dropout", "1.0"),
+                       ("finetune.gamma", "-1"), ("pretrain.log_every", "0"),
+                       ("finetune.log_every", "0"), ("finetune.eval_every", "0"),
+                       ("finetune.label_splits", "trian"),
+                       ("pretrain.clip_norm", "-1"), ("finetune.clip_norm", "-0.5"),
+                       ("pretrain.weight_decay", "-0.01"),
+                       ("finetune.weight_decay", "-0.01")]:
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_run_config(None, {key: value})
+        assert main(["ingest", str(cli_dataset), "--out", str(tmp_path),
+                     "--set", f"{key}={value}"]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_dataset_profiles_applied():
@@ -277,3 +292,18 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["evaluate", "--out", "somewhere"])  # missing --split
     assert exc.value.code == 2
+
+
+def test_finetune_divergence_exits_1(cli_dataset, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["ingest", str(cli_dataset), "--out", str(out)]) == 0
+    vocab = kglp.Vocabulary.load(out / "vocab.txt")
+    enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=vocab.size, hidden_size=32,
+                                          num_layers=1, ff_size=48, max_len=32))
+    enc.params["blk0.ff.w2"][...] = np.nan
+    kglp.save_checkpoint(enc, out / "pretrain.npz")
+    with np.errstate(invalid="ignore"):
+        code = main(["finetune", "--out", str(out), "--set", "finetune.epochs=1",
+                     "--set", "finetune.batch_size=16", *SMALL])
+    assert code == 1
+    assert "non-finite loss at step 0" in capsys.readouterr().err

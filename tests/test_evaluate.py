@@ -7,7 +7,8 @@ import kglp
 from kglp.data import build_filter_index
 from kglp.evaluate import (RankingQuery, aggregate_ranks, evaluate,
                            precompute_entity_embeddings, queries_for_split,
-                           rank_from_scores, rank_query, _unit_rows)
+                           rank_from_scores, rank_query)
+from kglp.layers import unit_rows
 from kglp.text import TokenizedCatalog
 
 from util import naive_rank, random_toy_dataset
@@ -187,6 +188,6 @@ def test_report_json_roundtrip(tmp_path, toy_aug, toy_vocab):
 
 
 def test_unit_rows_zero_vector():
-    rows = _unit_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))
+    rows = unit_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))[0]
     assert (rows[0] == 0.0).all()
     assert np.allclose(np.linalg.norm(rows[1]), 1.0)

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -9,10 +10,13 @@ from kglp.data import FilterIndex, Triple, build_filter_index
 from kglp.finetune import (FinetuneConfig, FocalParams, abs_diff_sums,
                            build_label_matrix, finetune_step, joint_loss,
                            loss_and_vector_grads, run_finetune, score_batch)
+from kglp.evaluate import evaluate, precompute_entity_embeddings
 from kglp.optim import AdamW
+from kglp.pretrain import TrainingDiverged
 from kglp.text import TokenizedCatalog
 
-from util import naive_cosine, naive_label_matrix, rel_error, scalar_joint_loss
+from util import (naive_cosine, naive_label_matrix, reference_finetune_report,
+                  reference_ranks, rel_error, scalar_joint_loss)
 
 
 def filter_from_dict(d):
@@ -305,3 +309,45 @@ def test_run_finetune_tracks_best_and_logs(pair_kg, pair_vocab, tmp_path):
     assert {"loss", "l1", "l2", "pos_cells", "neg_cells"} <= set(step_records[0])
     summaries = [r for r in records if "epoch_summary" in r]
     assert any("val_hits10" in r["epoch_summary"] for r in summaries)
+
+
+def test_divergence_raises_with_diagnostics(pair_kg, pair_vocab):
+    enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=pair_vocab.size, hidden_size=32,
+                                          num_layers=1, num_heads=4, ff_size=48,
+                                          max_len=32), seed=1)
+    enc.params["blk0.ff.w2"][...] = np.nan
+    cfg = FinetuneConfig(epochs=1, batch_size=8, pair_max_len=32, entity_max_len=16)
+    with pytest.raises(TrainingDiverged) as err, np.errstate(invalid="ignore"):
+        run_finetune(pair_kg, pair_vocab, enc, cfg)
+    assert err.value.step == 0
+    assert len(err.value.batch_ids) == 8
+    assert "linear" in err.value.lrs
+
+
+@pytest.mark.parametrize("mode", ["in_batch", "uniform_k"])
+def test_step_report_table_and_ranks_match_reference(pair_kg, pair_vocab, mode):
+    cat = TokenizedCatalog(pair_kg, pair_vocab)
+    enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=pair_vocab.size, hidden_size=32,
+                                          num_layers=1, num_heads=4, ff_size=48,
+                                          max_len=32), seed=0)
+    # entity layouts are 10 tokens long, so a 12-token cap cuts the batch width
+    cfg = FinetuneConfig(batch_size=8, pair_max_len=32, entity_max_len=12,
+                         negative_mode=mode, num_negatives=5)
+    opt = AdamW({"linear": 1e-3, "attention": 5e-5})
+    filt = build_filter_index(pair_kg, ("train",))
+    rng, neg_rng = np.random.default_rng(0), np.random.default_rng(1)
+    train = pair_kg.splits["train"]
+    for step in range(3):
+        batch = train[8 * step:8 * step + 8]
+        want = reference_finetune_report(batch, copy.deepcopy(enc), cat, filt, cfg,
+                                         copy.deepcopy(rng), copy.deepcopy(neg_rng))
+        report = finetune_step(batch, enc, cat, filt, opt, 1.0, cfg, rng=rng,
+                               neg_rng=neg_rng)
+        assert (report.loss, report.l1_mean, report.l2_mean, report.n_pos,
+                report.n_neg) == want
+    table, ranks = reference_ranks(enc, cat, pair_kg, "valid", 32, 12, batch_size=7)
+    assert np.array_equal(precompute_entity_embeddings(enc, cat, 12, batch_size=7),
+                          table)
+    report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
+                      entity_max_len=12, batch_size=7)
+    assert [q["rank"] for q in report.per_query] == ranks

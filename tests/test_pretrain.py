@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from kglp.pretrain import (PretrainConfig, TrainingDiverged, pretrain_step,
 from kglp.sampling import MRM, build_pretrain_sample, derive_rng
 from kglp.text import TokenizedCatalog
 
-from util import ForcedRng
+from util import ForcedRng, reference_pretrain_losses
 
 
 @pytest.fixture(scope="module")
@@ -190,3 +191,15 @@ def test_run_pretraining_restores_best_params(pair_kg, pair_vocab, tmp_path):
     step_records = [r for r in records if "step" in r]
     assert step_records and {"step", "lr_linear", "lr_attention", "mlm_loss",
                              "mim_loss", "tasks"} <= set(step_records[0])
+
+
+def test_pretrain_step_losses_match_reference_trim(pair_kg, pair_cat, pair_vocab):
+    enc = small_encoder(pair_vocab.size)
+    opt = AdamW({"linear": 1e-3, "attention": 5e-5})
+    rng = np.random.default_rng(5)
+    for step in range(3):
+        samples = make_batch(pair_kg, pair_cat, n=8, seed=step)
+        want = reference_pretrain_losses(copy.deepcopy(enc), samples,
+                                         copy.deepcopy(rng))
+        report = pretrain_step(samples, enc, opt, 1.0, rng=rng)
+        assert (report.mlm_loss, report.mim_loss) == want

@@ -6,7 +6,8 @@ import kglp
 from kglp.text import (CLS_ID, NUM_RESERVED, PAD_ID, RESERVED_TOKENS,
                        SEP_ID, UNK_ID, TokenizedCatalog, Vocabulary,
                        assemble_entity, assemble_pair, assemble_pair_tokens,
-                       assemble_triple, build_vocab, split_words, tokenize)
+                       assemble_triple, build_vocab, split_words, tokenize,
+                       trim_width)
 
 from util import write_dataset
 
@@ -230,3 +231,16 @@ def test_assembled_sequences_respect_length_and_mask(tmp_path_factory, h_name,
         # identical inputs yield identical ids
         again = assemble_triple(cat, 0, 0, 1, max_len)
         assert (again.tokens == assemble_triple(cat, 0, 0, 1, max_len).tokens).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=st.integers(min_value=1, max_value=128).flatmap(
+    lambda cap: st.tuples(st.just(cap), st.lists(
+        st.integers(min_value=0, max_value=cap), min_size=1, max_size=16))))
+def test_trim_width_rounds_longest_up_to_8_within_cap(batch):
+    cap, lengths = batch
+    longest = max(lengths)
+    width = trim_width(lengths, cap)
+    assert longest <= width < longest + 8
+    assert width % 8 == 0 or width == cap
+    assert width <= cap

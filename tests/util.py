@@ -269,3 +269,131 @@ def two_buffer_backward(encoder, passes) -> dict:
         for name, g in encoder.backward(cache, d_pooled=d_pooled).items():
             grads[name] += g
     return grads
+
+
+def reference_stack_and_trim(samples):
+    """Pre-training batch arrays as the removed ``pretrain._stack_and_trim``
+    built them: cut to the longest real sequence, rounded up to 8."""
+    max_len = samples[0].x.shape[0]
+    longest = max(s.layout.length for s in samples)
+    trim = min(max_len, -(-longest // 8) * 8)
+    x = np.stack([s.x[:trim] for s in samples])
+    mask = np.stack([s.mask[:trim] for s in samples])
+    y1 = np.stack([s.y1[:trim] for s in samples])
+    y2 = np.stack([s.y2[:trim] for s in samples])
+    return x, mask, y1, y2
+
+
+def reference_stack_layouts(layouts):
+    """(tokens, mask) as the removed ``finetune._encode_layouts`` and
+    ``evaluate._encode_pooled`` built them before encoding."""
+    tokens = np.stack([l.tokens for l in layouts])
+    mask = np.stack([l.mask for l in layouts])
+    longest = max(l.length for l in layouts)
+    trim = min(tokens.shape[1], -(-longest // 8) * 8)
+    return tokens[:, :trim], mask[:, :trim]
+
+
+def reference_unit_rows(x):
+    """The removed ``evaluate._unit_rows``."""
+    norms = np.linalg.norm(x, axis=-1, keepdims=True)
+    return x / np.where(norms == 0.0, 1.0, norms)
+
+
+def reference_loss_components(scores, diffs, labels, fp, cell_mask=None):
+    """The removed ``finetune._loss_components``: mean focal and sigmoid terms
+    recomputed from the cell scores and distances."""
+    from scipy.special import expit
+    p_eps = 1e-6
+    pos = labels.astype(bool)
+    p = np.clip((scores.astype(np.float64) + 1.0) / 2.0, p_eps, 1.0 - p_eps)
+    l1 = np.where(pos, -fp.alpha * (1.0 - p) ** fp.gamma * np.log(p),
+                  -(1.0 - fp.alpha) * p ** fp.gamma * np.log1p(-p))
+    sig = expit(diffs.astype(np.float64))
+    l2 = np.where(pos, sig, 1.0 - sig)
+    if cell_mask is None:
+        return float(l1.mean()), float(l2.mean())
+    return float(l1[cell_mask].mean()), float(l2[cell_mask].mean())
+
+
+def reference_finetune_report(batch, encoder, cat, label_filter, config, rng,
+                              neg_rng=None):
+    """(loss, l1, l2, n_pos, n_neg) of a fine-tuning step as the code before
+    the single cell-loss path computed them; updates nothing."""
+    from kglp.finetune import (abs_diff_sums, build_label_matrix, joint_loss,
+                               score_batch)
+    from kglp.text import assemble_entity, assemble_pair
+    pair_layouts = [assemble_pair(cat, t.head, t.relation, config.pair_max_len)
+                    for t in batch]
+    pair_out, _ = encoder.forward(*reference_stack_layouts(pair_layouts),
+                                  train=True, rng=rng)
+    if config.negative_mode == "in_batch":
+        ent_ids = np.array([t.tail for t in batch])
+        labels = build_label_matrix(batch, label_filter)
+        cell_mask = None
+    else:
+        n, k = len(batch), config.num_negatives
+        tails = np.array([t.tail for t in batch])
+        sampled = neg_rng.integers(0, cat.kg.num_entities, size=(n, k))
+        ent_ids, inverse = np.unique(np.concatenate([tails, sampled.ravel()]),
+                                     return_inverse=True)
+        tail_cols, neg_cols = inverse[:n], inverse[n:].reshape(n, k)
+        labels = np.zeros((n, len(ent_ids)), dtype=np.int8)
+        labels[np.arange(n), tail_cols] = 1
+        cell_mask = np.zeros((n, len(ent_ids)), dtype=bool)
+        cell_mask[np.arange(n), tail_cols] = True
+        cell_mask[np.arange(n)[:, None], neg_cols] = True
+    ent_layouts = [assemble_entity(cat, int(e), config.entity_max_len) for e in ent_ids]
+    ent_out, _ = encoder.forward(*reference_stack_layouts(ent_layouts),
+                                 train=True, rng=rng)
+    scores = score_batch(pair_out.pooled, ent_out.pooled)
+    diffs = abs_diff_sums(pair_out.pooled, ent_out.pooled)
+    fp = config.focal()
+    loss = joint_loss(scores, diffs, labels, fp, cell_mask)
+    l1, l2 = reference_loss_components(scores, diffs, labels, fp, cell_mask)
+    considered = labels if cell_mask is None else labels[cell_mask]
+    n_pos = int(considered.sum())
+    return loss, l1, l2, n_pos, int(considered.size) - n_pos
+
+
+def reference_pretrain_losses(encoder, samples, rng):
+    """(mlm, mim) of a training-mode pre-training batch on reference-trimmed
+    arrays; the head's running statistics of ``encoder`` are updated."""
+    from kglp.layers import cross_entropy
+    x, mask, y1, y2 = reference_stack_and_trim(samples)
+    out, _ = encoder.forward(x, mask, train=True, rng=rng)
+    pos1, pos2 = y1 != 0, y2 != 0
+    pos_any = pos1 | pos2
+    logits, _ = encoder.predict_tokens(out.token_states[pos_any], train=True)
+    mim, _ = cross_entropy(logits[pos1[pos_any]], y1[pos1])
+    mlm, _ = cross_entropy(logits[pos2[pos_any]], y2[pos2])
+    return mlm, mim
+
+
+def reference_ranks(encoder, cat, kg, split, pair_max_len, entity_max_len,
+                    batch_size):
+    """Filtered ranks of a split through reference trimming and row
+    normalisation, in ``evaluate``'s query order."""
+    from kglp.data import build_filter_index
+    from kglp.evaluate import queries_for_split, rank_from_scores
+    from kglp.text import assemble_entity, assemble_pair
+
+    def pooled(layouts):
+        return np.concatenate([
+            encoder.encode(*reference_stack_layouts(layouts[s:s + batch_size])).pooled
+            for s in range(0, len(layouts), batch_size)])
+
+    table = pooled([assemble_entity(cat, e, entity_max_len)
+                    for e in range(kg.num_entities)])
+    table_unit = reference_unit_rows(table)
+    filt = build_filter_index(kg)
+    queries = queries_for_split(kg, split)
+    ranks = []
+    for start in range(0, len(queries), batch_size):
+        chunk = queries[start:start + batch_size]
+        scores = reference_unit_rows(pooled(
+            [assemble_pair(cat, q.entity, q.relation, pair_max_len) for q in chunk])
+        ) @ table_unit.T
+        ranks += [rank_from_scores(row, q.gold, filt[(q.entity, q.relation)])
+                  for row, q in zip(scores, chunk)]
+    return table, ranks
