@@ -13,7 +13,8 @@ import numpy as np
 
 import kglp
 from kglp.evaluate import (aggregate_ranks, evaluate, precompute_entity_embeddings,
-                           queries_for_split, rank_from_scores)
+                           queries_for_split, query_scores, rank_from_scores,
+                           table_unit_rows)
 from kglp.text import TokenizedCatalog, assemble_pair_tokens, tokenize
 
 root = Path(tempfile.mkdtemp(prefix="kglp_demo_"))
@@ -66,13 +67,13 @@ print("aggregates recomputed from the per-query ranks match:",
 cat = TokenizedCatalog(kg, vocab)
 free = tokenize("a very hot sun", vocab)
 layout = assemble_pair_tokens(free, [], heats, cat, 32)
-pooled = encoder.encode(layout.tokens[None, :], layout.mask[None, :]).pooled
 table = precompute_entity_embeddings(encoder, cat, 16)
-sims = (pooled / np.linalg.norm(pooled)) @ (table / np.linalg.norm(table, axis=1,
-                                                                   keepdims=True)).T
-ranked = np.argsort(-sims[0])
+# cosine scores: the query's unit vector against the table's unit rows, which
+# are computed once per table however many queries follow
+sims = query_scores(encoder, [layout], table_unit_rows(table))[0]
+ranked = np.argsort(-sims)
 print("\nfree-text query 'a very hot sun' + 'heats up' ranks the catalog as:")
 for pos, e in enumerate(ranked, start=1):
-    print(f"  {pos}. {kg.entity_ids[e]:<5} cosine {sims[0, e]: .6f}")
+    print(f"  {pos}. {kg.entity_ids[e]:<5} cosine {sims[e]: .6f}")
 print("(an untrained encoder scores nearly everything alike; training is what"
       " spreads these apart - see demo 03)")

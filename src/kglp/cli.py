@@ -316,8 +316,7 @@ def cmd_predict(args) -> int:
     import numpy as np
     from .data import build_filter_index
     from .encoder import load_checkpoint
-    from .evaluate import query_scores
-    from .layers import unit_rows
+    from .evaluate import query_scores, table_unit_rows
     from .text import TokenizedCatalog, assemble_pair, assemble_pair_tokens, tokenize
 
     out_dir = Path(args.out)
@@ -358,7 +357,9 @@ def cmd_predict(args) -> int:
                                       cat, pair_max_len)
         filter_key = None
 
-    scores = query_scores(encoder, [layout], unit_rows(table)[0])[0]
+    scores = query_scores(encoder, [layout], table_unit_rows(table))[0]
+    if not np.isfinite(scores).all():
+        raise ValueError(f"checkpoint {ckpt_path} gives a non-finite query vector")
 
     known = set()
     if args.filtered and filter_key is not None:

@@ -9,12 +9,18 @@ half the tied candidates counts against the gold.
 
 Entity embeddings are computed once per evaluation (one encoder pass per
 catalog entity), which is the payoff of the Siamese split: scoring a query
-against the whole catalog is a single matrix product.
+against the whole catalog is a single matrix product. An entity table is
+checked finite and normalised to unit rows once per table, not once per query:
+``precompute_entity_embeddings`` returns a read-only array, and
+``table_unit_rows`` keeps the unit rows of the last read-only table it saw.
+Callers who want to edit a table take a ``.copy()``; a writeable table is
+checked and normalised again on every call.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,15 +82,44 @@ def queries_for_split(kg: KnowledgeGraph, split: str) -> list[RankingQuery]:
 def precompute_entity_embeddings(encoder: Encoder, cat: TokenizedCatalog,
                                  max_len: int = 32,
                                  batch_size: int = 256) -> np.ndarray:
-    """One pooled vector per catalog entity, in catalog order; deterministic."""
+    """One pooled vector per catalog entity, in catalog order; deterministic
+    and read-only, so ``table_unit_rows`` can keep its unit rows."""
     layouts = [assemble_entity(cat, e, max_len) for e in range(cat.kg.num_entities)]
-    return _encode_pooled(encoder, layouts, batch_size)
+    table = _encode_pooled(encoder, layouts, batch_size)
+    table.flags.writeable = False
+    return table
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
     rows = [encoder.encode(*stack_layouts(layouts[start:start + batch_size])).pooled
             for start in range(0, len(layouts), batch_size)]
     return np.concatenate(rows, axis=0)
+
+
+#: (weak reference to the last read-only table, its unit rows)
+_unit_slot: tuple | None = None
+
+
+def _forget_table(ref) -> None:
+    global _unit_slot
+    if _unit_slot is not None and _unit_slot[0] is ref:
+        _unit_slot = None
+
+
+def table_unit_rows(table: np.ndarray) -> np.ndarray:
+    """Unit rows of an entity table, which must be finite; kept for the last
+    read-only table until it is dropped, recomputed for a writeable one."""
+    global _unit_slot
+    slot = _unit_slot
+    if slot is not None and slot[0]() is table and not table.flags.writeable:
+        return slot[1]
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"entity table row {bad[0]} is not finite")
+    rows = unit_rows(table)[0]
+    if not table.flags.writeable:
+        _unit_slot = (weakref.ref(table, _forget_table), rows)
+    return rows
 
 
 def query_scores(encoder: Encoder, pair_layouts, table_unit: np.ndarray) -> np.ndarray:
@@ -102,6 +137,8 @@ def rank_from_scores(scores: np.ndarray, gold: int, known_true: set[int]) -> int
     """
     if not 0 <= gold < scores.shape[0]:
         raise ValueError(f"gold entity {gold} outside the catalog")
+    if not np.isfinite(scores[gold]):
+        raise ValueError(f"score {scores[gold]} of gold entity {gold} is not finite")
     keep = np.ones(scores.shape[0], dtype=bool)
     exclude = known_true - {gold}
     if exclude:
@@ -118,7 +155,7 @@ def rank_query(query: RankingQuery, encoder: Encoder, cat: TokenizedCatalog,
                pair_max_len: int = 96) -> int:
     """Filtered rank of one query against the precomputed entity table."""
     layout = assemble_pair(cat, query.entity, query.relation, pair_max_len)
-    scores = query_scores(encoder, [layout], unit_rows(entity_table)[0])[0]
+    scores = query_scores(encoder, [layout], table_unit_rows(entity_table))[0]
     return rank_from_scores(scores, query.gold, filter_index[(query.entity, query.relation)])
 
 
@@ -153,7 +190,7 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
         return RankingReport(split=split, n_queries=0, hits1=0.0, hits3=0.0,
                              hits10=0.0, mr=0.0, mrr=0.0)
     table = precompute_entity_embeddings(encoder, cat, entity_max_len, batch_size)
-    table_unit, _ = unit_rows(table)
+    table_unit = table_unit_rows(table)
 
     pair_layouts = [assemble_pair(cat, q.entity, q.relation, pair_max_len)
                     for q in queries]

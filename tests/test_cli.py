@@ -307,3 +307,34 @@ def test_finetune_divergence_exits_1(cli_dataset, tmp_path, capsys):
                      "--set", "finetune.batch_size=16", *SMALL])
     assert code == 1
     assert "non-finite loss at step 0" in capsys.readouterr().err
+
+
+def test_non_finite_checkpoint_evaluate_and_predict_exit_2(cli_dataset, tmp_path,
+                                                          capsys):
+    from kglp.cli import file_sha256
+    out = tmp_path / "run"
+    assert main(["ingest", str(cli_dataset), "--out", str(out)]) == 0
+    vocab = kglp.Vocabulary.load(out / "vocab.txt")
+    enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=vocab.size, hidden_size=32,
+                                          num_layers=1, ff_size=48, max_len=32))
+    enc.params["blk0.ff.w2"][...] = np.nan
+    kglp.save_checkpoint(enc, out / "finetune.npz")
+    sha = np.array(file_sha256(out / "finetune.npz"))
+    n = len(json.loads((out / "catalog.json").read_text())["entity_ids"])
+    predict = ["predict", "--out", str(out), "--head", "a001",
+               "--relation", "linksto", *SMALL]
+    with np.errstate(invalid="ignore"):
+        assert main(["evaluate", "--out", str(out), "--split", "test", *SMALL]) == 2
+        assert "entity table row 0 is not finite" in capsys.readouterr().err
+        assert not (out / "report_test.json").exists()
+        np.savez(out / "entity_table.npz", table=np.full((n, 32), np.nan),
+                 checkpoint_sha256=sha)
+        assert main(predict) == 2
+        assert "entity table row 0 is not finite" in capsys.readouterr().err
+        # a finite table cannot hide a non-finite query vector
+        np.savez(out / "entity_table.npz", table=np.ones((n, 32)),
+                 checkpoint_sha256=sha)
+        assert main(predict) == 2
+    captured = capsys.readouterr()
+    assert "non-finite query vector" in captured.err
+    assert "nan" not in captured.out

@@ -1,4 +1,7 @@
+import gc
+import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,11 +10,15 @@ import kglp
 from kglp.data import build_filter_index
 from kglp.evaluate import (RankingQuery, aggregate_ranks, evaluate,
                            precompute_entity_embeddings, queries_for_split,
-                           rank_from_scores, rank_query)
+                           query_scores, rank_from_scores, rank_query,
+                           table_unit_rows)
 from kglp.layers import unit_rows
-from kglp.text import TokenizedCatalog
+from kglp.text import TokenizedCatalog, assemble_pair
 
 from util import naive_rank, random_toy_dataset
+
+# the module itself: ``kglp.evaluate`` is the re-exported function
+evaluate_module = importlib.import_module("kglp.evaluate")
 
 
 def tiny_encoder(vocab_size, seed=0):
@@ -43,6 +50,13 @@ def test_rank_filtered_never_removes_gold():
 def test_rank_gold_out_of_range():
     with pytest.raises(ValueError, match="catalog"):
         rank_from_scores(np.array([0.5]), gold=3, known_true=set())
+
+
+def test_rank_non_finite_gold_raises():
+    with pytest.raises(ValueError, match="not finite"):
+        rank_from_scores(np.full(3, np.nan), gold=0, known_true=set())
+    with pytest.raises(ValueError, match="gold entity 1"):
+        rank_from_scores(np.array([0.5, np.inf, 0.1]), gold=1, known_true=set())
 
 
 def test_rank_matches_naive_sort_oracle(rng):
@@ -191,3 +205,109 @@ def test_unit_rows_zero_vector():
     rows = unit_rows(np.array([[0.0, 0.0], [3.0, 4.0]]))[0]
     assert (rows[0] == 0.0).all()
     assert np.allclose(np.linalg.norm(rows[1]), 1.0)
+
+
+def count_unit_rows(monkeypatch, counted=lambda x: True):
+    """Patch the ``unit_rows`` that ``kglp.evaluate`` calls; returns the list
+    that gets one entry per call whose argument ``counted`` accepts."""
+    calls = []
+
+    def counting(x):
+        if counted(x):
+            calls.append(1)
+        return unit_rows(x)
+
+    monkeypatch.setattr(evaluate_module, "unit_rows", counting)
+    return calls
+
+
+def test_entity_table_is_read_only(toy_aug, toy_vocab):
+    table = precompute_entity_embeddings(tiny_encoder(toy_vocab.size),
+                                         TokenizedCatalog(toy_aug, toy_vocab), 16)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+
+
+def test_rank_query_normalises_a_table_once(toy_aug, toy_vocab, monkeypatch):
+    enc = tiny_encoder(toy_vocab.size, seed=5)
+    cat = TokenizedCatalog(toy_aug, toy_vocab)
+    filt = build_filter_index(toy_aug)
+    table = precompute_entity_embeddings(enc, cat, 16)
+    queries = queries_for_split(toy_aug, "test")
+    want = [query_scores(enc, [assemble_pair(cat, q.entity, q.relation, 32)],
+                         unit_rows(table)[0])[0] for q in queries]
+
+    seen = []
+    real_rank = evaluate_module.rank_from_scores
+
+    def spy(scores, gold, known_true):
+        seen.append(scores)
+        return real_rank(scores, gold, known_true)
+
+    monkeypatch.setattr(evaluate_module, "rank_from_scores", spy)
+    calls = count_unit_rows(monkeypatch, lambda x: x is table)
+    for i in range(50):
+        rank_query(queries[i % len(queries)], enc, cat, table, filt, pair_max_len=32)
+    assert len(calls) == 1
+    assert len(seen) == 50
+    for i, scores in enumerate(seen):
+        assert np.array_equal(scores, want[i % len(queries)])
+
+
+def test_edited_writeable_table_is_renormalised(toy_aug, toy_vocab):
+    enc = tiny_encoder(toy_vocab.size, seed=3)
+    cat = TokenizedCatalog(toy_aug, toy_vocab)
+    filt = build_filter_index(toy_aug)
+    table = precompute_entity_embeddings(enc, cat, 16).copy()
+    assert table.flags.writeable
+    ranked = [(q, rank_query(q, enc, cat, table, filt, pair_max_len=32))
+              for q in queries_for_split(toy_aug, "test")]
+    q, before = next((q, r) for q, r in ranked if r > 1)
+    assert rank_query(q, enc, cat, table, filt, pair_max_len=32) == before
+    # every candidate but the gold now points away from the query
+    pooled = evaluate_module._encode_pooled(
+        enc, [assemble_pair(cat, q.entity, q.relation, 32)], 1)[0]
+    table[np.arange(len(table)) != q.gold] = -pooled
+    assert rank_query(q, enc, cat, table, filt, pair_max_len=32) == 1
+
+
+def test_dropped_table_frees_its_rows_and_a_new_table_is_served(
+        toy_aug, toy_vocab, monkeypatch):
+    cat = TokenizedCatalog(toy_aug, toy_vocab)
+    enc_a = tiny_encoder(toy_vocab.size, seed=0)
+    enc_b = tiny_encoder(toy_vocab.size, seed=1)
+    calls = count_unit_rows(monkeypatch)
+
+    old = precompute_entity_embeddings(enc_a, cat, 16)
+    table_unit_rows(old)
+    # the old table's weak reference, and so its callback, outlives its turn in
+    # the slot, as it does while a lookup that read the slot is still running
+    stale_slot = evaluate_module._unit_slot
+    assert stale_slot[0]() is old
+    new = precompute_entity_embeddings(enc_b, cat, 16)
+    assert np.array_equal(table_unit_rows(new), unit_rows(new)[0])
+    assert len(calls) == 2
+    # dropping the old table must not evict the new one's rows
+    del old
+    gc.collect()
+    table_unit_rows(new)
+    assert len(calls) == 2
+    # dropping the cached table frees its rows
+    rows = weakref.ref(table_unit_rows(new))
+    del new
+    gc.collect()
+    assert rows() is None
+    rebuilt = precompute_entity_embeddings(enc_a, cat, 16)
+    assert np.array_equal(table_unit_rows(rebuilt), unit_rows(rebuilt)[0])
+    assert len(calls) == 3
+
+
+def test_table_unit_rows_rejects_non_finite_rows():
+    table = np.ones((4, 3))
+    table[2, 1] = np.inf
+    with pytest.raises(ValueError, match="row 2 is not finite"):
+        table_unit_rows(table)
+    table.flags.writeable = False
+    with pytest.raises(ValueError, match="row 2 is not finite"):
+        table_unit_rows(table)
