@@ -26,6 +26,8 @@ import sys
 import time
 from pathlib import Path
 
+from .files import atomic_write
+
 
 class ArtifactError(Exception):
     """A required artifact is missing; the message names the producing command."""
@@ -86,7 +88,7 @@ def write_manifest(out_dir: Path, name: str, command: str, config_snapshot: dict
         "metrics": metrics,
     }
     path = out_dir / f"manifest.{name}.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         json.dump(manifest, fh, indent=1)
     return path
 
@@ -249,7 +251,8 @@ def cmd_finetune(args) -> int:
     save_checkpoint(encoder, ckpt_out)
     table = precompute_entity_embeddings(encoder, TokenizedCatalog(kg, vocab),
                                          rc.finetune.entity_max_len)
-    np.savez(table_out, table=table, checkpoint_sha256=np.array(file_sha256(ckpt_out)))
+    with atomic_write(table_out) as fh:
+        np.savez(fh, table=table, checkpoint_sha256=np.array(file_sha256(ckpt_out)))
 
     best = max((h.get("val_hits10", -1.0) for h in history), default=-1.0)
     write_manifest(out_dir, "finetune", "finetune", rc.snapshot(), inputs=inputs,
@@ -314,7 +317,7 @@ def cmd_resplit_unseen(args) -> int:
 
 def cmd_predict(args) -> int:
     import numpy as np
-    from .data import build_filter_index
+    from .data import known_completions
     from .encoder import load_checkpoint
     from .evaluate import query_scores, table_unit_rows
     from .text import TokenizedCatalog, assemble_pair, assemble_pair_tokens, tokenize
@@ -363,7 +366,7 @@ def cmd_predict(args) -> int:
 
     known = set()
     if args.filtered and filter_key is not None:
-        known = build_filter_index(kg)[filter_key]
+        known = known_completions(kg, filter_key)
     order = np.argsort(-scores, kind="stable")
     shown = 0
     for idx in order:

@@ -10,6 +10,7 @@ order. All structures are immutable after construction and safe for concurrent r
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field, replace
@@ -273,15 +274,28 @@ class FilterIndex:
         return self._index.keys()
 
 
-def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> FilterIndex:
-    """Index all completions of every (entity, relation) key in the given splits."""
+def _filter_triples(kg: KnowledgeGraph, splits: tuple[str, ...]):
+    """The triples whose tails complete their (head, relation) key: every
+    triple of the given splits of an augmented graph."""
     if not kg.augmented:
         raise ValueError("filter index requires an augmented graph")
+    return itertools.chain.from_iterable(kg.splits[name] for name in splits)
+
+
+def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> FilterIndex:
+    """Index all completions of every (entity, relation) key in the given splits."""
     index: dict[tuple[int, int], set[int]] = {}
-    for name in splits:
-        for triple in kg.splits[name]:
-            index.setdefault((triple.head, triple.relation), set()).add(triple.tail)
+    for triple in _filter_triples(kg, splits):
+        index.setdefault((triple.head, triple.relation), set()).add(triple.tail)
     return FilterIndex(index, splits)
+
+
+def known_completions(kg: KnowledgeGraph, key: tuple[int, int],
+                      splits: tuple[str, ...] = SPLITS) -> set[int]:
+    """``build_filter_index(kg, splits)[key]`` without indexing every other key."""
+    head, relation = key
+    return {t.tail for t in _filter_triples(kg, splits)
+            if t.head == head and t.relation == relation}
 
 
 def resplit_unseen(kg: KnowledgeGraph, ratio: float, seed: int) -> KnowledgeGraph:

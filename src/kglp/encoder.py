@@ -6,6 +6,12 @@ prediction head (dense -> GeLU -> batch-norm -> dense to vocabulary) produces
 logits for the masked-token objectives. Everything is trained from scratch;
 parameters live in a flat name -> array dict so the optimizer, checkpoints,
 and gradient checks can treat them uniformly.
+
+A pooled-only inference encode (``encode(..., pooled_only=True)``), which is
+what entity tables and query vectors use, keeps no backward caches and, in the
+last block, sends only the [CLS] rows through the output projection, the
+feed-forward layer and both layer norms. Its pooled vectors are bit-identical
+to the full encode's.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import layers as L
+from .files import atomic_write
 
 CHECKPOINT_FORMAT = "kglp.ckpt.v1"
 
@@ -57,9 +64,10 @@ class EncoderConfig:
 
 @dataclass
 class EncoderOutput:
-    """Per-token hidden states plus the pooled ([CLS] position) vector."""
+    """Per-token hidden states plus the pooled ([CLS] position) vector;
+    ``token_states`` is None after a pooled-only encode."""
 
-    token_states: np.ndarray
+    token_states: np.ndarray | None
     pooled: np.ndarray
 
 
@@ -129,12 +137,22 @@ class Encoder:
     # ------------------------------------------------------------------ forward
 
     def forward(self, tokens, mask, train: bool = False,
-                rng: np.random.Generator | None = None):
+                rng: np.random.Generator | None = None, pooled_only: bool = False):
         """Run the encoder; returns (EncoderOutput, cache).
 
         ``tokens`` (B, S) int, ``mask`` (B, S) with 1 on real positions. PAD
         keys receive no attention from any query. ``rng`` drives dropout and is
         required when training with a nonzero dropout rate.
+
+        ``pooled_only`` (inference only) returns the pooled vectors alone, with
+        ``token_states`` and the cache None. No block keeps a backward cache,
+        and the last block runs its attention full width but everything from
+        the output projection on for the [CLS] rows only. The pooled vectors
+        are bit-identical to the full forward's as long as BLAS gives a row of
+        a matrix-matrix product the same bits whatever the row count. A batch
+        of one row (or a sequence of one position) keeps full width, because
+        NumPy hands a one-row product to a matrix-vector kernel that sums in
+        another order.
         """
         cfg, p = self.config, self.params
         tokens = np.asarray(tokens)
@@ -148,8 +166,12 @@ class Encoder:
         if tokens.max(initial=0) >= cfg.vocab_size:
             raise ValueError(
                 f"token id {int(tokens.max())} out of range for vocab {cfg.vocab_size}")
+        if tokens.min(initial=0) < 0:
+            raise ValueError(f"token id {int(tokens.min())} is negative")
         if mask.shape != tokens.shape:
             raise ValueError("mask shape must match tokens shape")
+        if pooled_only and train:
+            raise ValueError("pooled_only is an inference mode; it cannot train")
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and rng is None:
             raise ValueError("training-mode forward with dropout needs an rng")
@@ -161,8 +183,12 @@ class Encoder:
 
         caches = []
         for i in range(cfg.num_layers):
-            x, blk_cache = self._block_forward(i, x, key_mask, rate, rng, train)
+            cls_only = pooled_only and i == cfg.num_layers - 1 and B > 1 and S > 1
+            x, blk_cache = self._block_forward(i, x, key_mask, rate, rng, train,
+                                               not pooled_only, cls_only)
             caches.append(blk_cache)
+        if pooled_only:
+            return EncoderOutput(token_states=None, pooled=x if x.ndim == 2 else x[:, 0]), None
 
         cache = {
             "tokens": tokens, "emb_ln": emb_ln_cache, "emb_drop": emb_drop,
@@ -170,7 +196,16 @@ class Encoder:
         }
         return EncoderOutput(token_states=x, pooled=x[:, 0]), cache
 
-    def _block_forward(self, i, x, key_mask, rate, rng, train):
+    def _block_forward(self, i, x, key_mask, rate, rng, train, keep_cache=True,
+                       cls_only=False):
+        """One post-norm block; returns (output, cache), the cache None unless
+        ``keep_cache``.
+
+        With ``cls_only`` (which keeps no cache) the queries, keys, values,
+        scores, softmax and context stay full width, then the [CLS] rows of the
+        context and of the block input go on as one contiguous (B, d) matrix,
+        and the output is (B, d).
+        """
         p = self.params
         d = self.config.hidden_size
         H = self.config.num_heads
@@ -190,6 +225,8 @@ class Encoder:
         attn_d, attn_drop = L.dropout_forward(attn, rate, rng, train)
 
         ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(B, S, d)
+        if cls_only:
+            x, ctx = np.ascontiguousarray(x[:, 0]), np.ascontiguousarray(ctx[:, 0])
         out, out_cache = L.linear_forward(ctx, p[f"blk{i}.attn.wo"], p[f"blk{i}.attn.bo"])
         out, out_drop = L.dropout_forward(out, rate, rng, train)
         h1, ln1_cache = L.layernorm_forward(x + out, p[f"blk{i}.ln1.g"], p[f"blk{i}.ln1.b"])
@@ -200,6 +237,8 @@ class Encoder:
         f, ff_drop = L.dropout_forward(f, rate, rng, train)
         h2, ln2_cache = L.layernorm_forward(h1 + f, p[f"blk{i}.ln2.g"], p[f"blk{i}.ln2.b"])
 
+        if not keep_cache:
+            return h2, None
         return h2, {
             "q": q_cache, "k": k_cache, "v": v_cache, "qh": qh, "kh": kh, "vh": vh,
             "attn": attn, "attn_d": attn_d, "attn_drop": attn_drop, "ctx": ctx,
@@ -208,9 +247,13 @@ class Encoder:
             "ff_drop": ff_drop, "ln2": ln2_cache, "shape": (B, S, H, dh),
         }
 
-    def encode(self, tokens, mask) -> EncoderOutput:
-        """Inference-mode encoding: deterministic, no state mutation."""
-        output, _ = self.forward(tokens, mask, train=False)
+    def encode(self, tokens, mask, pooled_only: bool = False) -> EncoderOutput:
+        """Inference-mode encoding: deterministic, no state mutation.
+
+        ``pooled_only`` computes the pooled vectors alone (see ``forward``),
+        which is all an entity table or a query vector needs.
+        """
+        output, _ = self.forward(tokens, mask, train=False, pooled_only=pooled_only)
         return output
 
     # ----------------------------------------------------------------- backward
@@ -359,14 +402,15 @@ def _add(grads: dict, name: str, g: np.ndarray) -> None:
 
 
 def save_checkpoint(encoder: Encoder, path) -> None:
-    """Self-describing container: format tag, config JSON, named tensors."""
+    """Self-describing container: format tag, config JSON, named tensors;
+    written atomically, so a failed save keeps the previous file."""
     meta = {"format": CHECKPOINT_FORMAT, "config": asdict(encoder.config)}
     arrays = {"__meta__": np.array(json.dumps(meta))}
     for name, arr in encoder.params.items():
         arrays[f"param::{name}"] = arr
     for name, arr in encoder.buffers.items():
         arrays[f"buffer::{name}"] = arr
-    with open(path, "wb") as fh:
+    with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 
 

@@ -9,10 +9,14 @@ half the tied candidates counts against the gold.
 
 Entity embeddings are computed once per evaluation (one encoder pass per
 catalog entity), which is the payoff of the Siamese split: scoring a query
-against the whole catalog is a single matrix product. An entity table is
-checked finite and normalised to unit rows once per table, not once per query:
-``precompute_entity_embeddings`` returns a read-only array, and
-``table_unit_rows`` keeps the unit rows of the last read-only table it saw.
+against the whole catalog is a single matrix product. Entity and query vectors
+come from the encoder's pooled-only mode, which keeps no backward caches and
+runs the last block past its attention for the [CLS] rows only; the vectors
+are bit-identical to a full encode's (see ``Encoder.forward``).
+
+An entity table is checked finite and normalised to unit rows once per table,
+not once per query: ``precompute_entity_embeddings`` returns a read-only array,
+and ``table_unit_rows`` keeps the unit rows of the last read-only table it saw.
 Callers who want to edit a table take a ``.copy()``; a writeable table is
 checked and normalised again on every call.
 """
@@ -27,6 +31,7 @@ import numpy as np
 
 from .data import FilterIndex, KnowledgeGraph, build_filter_index
 from .encoder import Encoder
+from .files import atomic_write
 from .layers import unit_rows
 from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
                    stack_layouts)
@@ -61,7 +66,7 @@ class RankingReport:
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, text=True) as fh:
             json.dump(self.to_dict(), fh, indent=1)
 
 
@@ -91,7 +96,10 @@ def precompute_entity_embeddings(encoder: Encoder, cat: TokenizedCatalog,
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
-    rows = [encoder.encode(*stack_layouts(layouts[start:start + batch_size])).pooled
+    """Pooled vectors of layouts, ``batch_size`` at a time, through the
+    pooled-only encode: bit-identical to the [CLS] rows of a full encode."""
+    rows = [encoder.encode(*stack_layouts(layouts[start:start + batch_size]),
+                           pooled_only=True).pooled
             for start in range(0, len(layouts), batch_size)]
     return np.concatenate(rows, axis=0)
 

@@ -1,5 +1,7 @@
 import json
+import os
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -338,3 +340,51 @@ def test_non_finite_checkpoint_evaluate_and_predict_exit_2(cli_dataset, tmp_path
     captured = capsys.readouterr()
     assert "non-finite query vector" in captured.err
     assert "nan" not in captured.out
+
+
+def test_predict_filtered_looks_up_one_key(cli_run, capsys, monkeypatch):
+    kg = kglp.augment_inverse(kglp.load_dataset(
+        json.loads((cli_run / "dataset.json").read_text())["dir"]))
+    t = next(t for t in kg.splits["train"]
+             if not kg.relation_is_inverse[t.relation])
+    known = {kg.entity_ids[e] for e in
+             kglp.build_filter_index(kg)[(t.head, t.relation)]}
+    query = ["predict", "--out", str(cli_run), "--head", kg.entity_ids[t.head],
+             "--relation", kg.relation_ids[t.relation]]
+    assert main([*query, "-k", "10000"]) == 0
+    unfiltered = [line.split(None, 1)[1]
+                  for line in capsys.readouterr().out.strip().splitlines()]
+    want = [rest for rest in unfiltered if rest.split()[1] not in known][:5]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("predict built the whole-graph filter index")
+
+    monkeypatch.setattr("kglp.data.build_filter_index", refuse)
+    assert main([*query, "-k", "5", "--filtered"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(None, 1)[1] for line in lines] == want
+    assert [int(line.split()[0]) for line in lines] == [1, 2, 3, 4, 5]
+
+
+def test_failed_entity_table_write_keeps_old_table(cli_run, tmp_path, monkeypatch,
+                                                   capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    table = run / "entity_table.npz"
+    old = table.read_bytes()
+    listing = sorted(os.listdir(run))
+    real_savez = np.savez
+
+    def savez(file, *args, **kwargs):
+        if "table" in kwargs:
+            file.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+        real_savez(file, *args, **kwargs)
+
+    monkeypatch.setattr(np, "savez", savez)
+    assert main(["finetune", "--out", str(run), "--seed", "3", "--force",
+                 "--set", "finetune.epochs=1", "--set", "finetune.batch_size=16",
+                 *SMALL]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert table.read_bytes() == old
+    assert sorted(os.listdir(run)) == listing

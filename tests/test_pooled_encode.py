@@ -1,0 +1,122 @@
+"""The pooled-only inference encode against a full-sequence reference.
+
+Entity tables, query vectors and ranks from the pooled-only mode must equal,
+bit for bit, what a forward that runs every position through every layer
+gives; a batch of one keeps full width.
+"""
+
+import numpy as np
+import pytest
+
+import kglp
+from kglp import layers
+from kglp.data import build_filter_index
+from kglp.evaluate import (evaluate, precompute_entity_embeddings, queries_for_split,
+                           query_scores, rank_from_scores, table_unit_rows)
+from kglp.text import TokenizedCatalog, assemble_entity, assemble_pair
+
+from util import (reference_encode_pooled, reference_encode_states,
+                  reference_unit_rows)
+
+
+def small_encoder(vocab_size, num_layers, seed=0):
+    return kglp.Encoder(kglp.EncoderConfig(vocab_size=vocab_size, hidden_size=32,
+                                           num_layers=num_layers, num_heads=4,
+                                           ff_size=48, max_len=32), seed=seed)
+
+
+def mixed_batch(rng, n, s, vocab):
+    """``n`` sequences of random lengths 1..s, one of them full length."""
+    lengths = rng.integers(1, s + 1, size=n)
+    lengths[n // 2] = s
+    mask = (np.arange(s)[None, :] < lengths[:, None]).astype(np.int8)
+    tokens = rng.integers(5, vocab, size=(n, s)) * mask
+    tokens[:, 0] = 2
+    return tokens, mask
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+def test_plain_encode_matches_reference(rng, num_layers):
+    enc = small_encoder(60, num_layers, seed=5)
+    tokens, mask = mixed_batch(rng, 9, 24, 60)
+    out = enc.encode(tokens, mask)
+    assert np.array_equal(out.token_states, reference_encode_states(enc, tokens, mask))
+    assert np.array_equal(out.pooled, out.token_states[:, 0])
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 7, 256])
+@pytest.mark.parametrize("s", [1, 5, 16, 32])
+def test_pooled_only_is_bit_identical(rng, num_layers, n, s):
+    enc = small_encoder(60, num_layers, seed=5)
+    tokens, mask = mixed_batch(rng, n, s, 60)
+    out = enc.encode(tokens, mask, pooled_only=True)
+    assert out.token_states is None
+    assert out.pooled.shape == (n, 32)
+    assert np.array_equal(out.pooled, reference_encode_states(enc, tokens, mask)[:, 0])
+
+
+def test_pooled_only_keeps_no_cache_and_cannot_train(rng):
+    enc = small_encoder(60, 2)
+    tokens, mask = mixed_batch(rng, 4, 16, 60)
+    out, cache = enc.forward(tokens, mask, pooled_only=True)
+    assert cache is None and out.token_states is None
+    with pytest.raises(ValueError, match="inference"):
+        enc.forward(tokens, mask, train=True, rng=rng, pooled_only=True)
+
+
+@pytest.mark.parametrize("n, cls_rows", [(4, True), (1, False)])
+def test_last_block_runs_cls_rows_only_past_attention(rng, monkeypatch, n, cls_rows):
+    enc = small_encoder(60, 1)
+    tokens, mask = mixed_batch(rng, n, 16, 60)
+    shapes = []
+    real = layers.linear_forward
+
+    def spy(x, w, b):
+        shapes.append(x.shape)
+        return real(x, w, b)
+
+    monkeypatch.setattr(layers, "linear_forward", spy)
+    enc.encode(tokens, mask, pooled_only=True)
+    # q, k, v full width; then attn.wo, ff.w1, ff.w2
+    assert shapes[:3] == [(n, 16, 32)] * 3
+    assert shapes[3:] == ([(n, 32), (n, 32), (n, 48)] if cls_rows else
+                          [(n, 16, 32), (n, 16, 32), (n, 16, 48)])
+
+
+@pytest.mark.parametrize("pooled_only", [False, True])
+def test_negative_token_id_rejected(pooled_only):
+    enc = small_encoder(60, 1)
+    tokens = np.array([[2, 7, -1, 3], [2, 9, 8, 3]])
+    mask = np.ones_like(tokens, dtype=np.int8)
+    with pytest.raises(ValueError, match="negative"):
+        enc.encode(tokens, mask, pooled_only=pooled_only)
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 2, 7, 256])
+def test_table_scores_and_ranks_match_reference(pair_kg, pair_vocab, num_layers,
+                                                batch_size):
+    cat = TokenizedCatalog(pair_kg, pair_vocab)
+    enc = small_encoder(pair_vocab.size, num_layers, seed=1)
+    # entity layouts are 10 tokens long, so a 12-token cap cuts the batch width
+    ent_layouts = [assemble_entity(cat, e, 12) for e in range(pair_kg.num_entities)]
+    table = reference_encode_pooled(enc, ent_layouts, batch_size)
+    got = precompute_entity_embeddings(enc, cat, 12, batch_size=batch_size)
+    assert np.array_equal(got, table)
+
+    queries = queries_for_split(pair_kg, "valid")
+    pair_layouts = [assemble_pair(cat, q.entity, q.relation, 32) for q in queries]
+    table_unit = reference_unit_rows(table)
+    filt = build_filter_index(pair_kg)
+    ranks = []
+    for start in range(0, len(queries), batch_size):
+        chunk = pair_layouts[start:start + batch_size]
+        scores = reference_unit_rows(reference_encode_pooled(enc, chunk, batch_size)) \
+            @ table_unit.T
+        assert np.array_equal(query_scores(enc, chunk, table_unit_rows(got)), scores)
+        ranks += [rank_from_scores(row, q.gold, filt[(q.entity, q.relation)])
+                  for row, q in zip(scores, queries[start:start + batch_size])]
+    report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
+                      entity_max_len=12, batch_size=batch_size)
+    assert [q["rank"] for q in report.per_query] == ranks

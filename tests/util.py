@@ -397,3 +397,42 @@ def reference_ranks(encoder, cat, kg, split, pair_max_len, entity_max_len,
         ranks += [rank_from_scores(row, q.gold, filt[(q.entity, q.relation)])
                   for row, q in zip(scores, chunk)]
     return table, ranks
+
+
+def reference_encode_states(encoder, tokens, mask):
+    """Token states of a full-sequence inference forward, as ``Encoder.encode``
+    computed them before the pooled-only mode: every block sends every
+    position through every layer."""
+    from kglp import layers as L
+    p, cfg = encoder.params, encoder.config
+    tokens, mask = np.atleast_2d(tokens), np.atleast_2d(mask)
+    B, S = tokens.shape
+    H = cfg.num_heads
+    d = cfg.hidden_size
+    dh = d // H
+    key_mask = mask.astype(bool)
+    x, _ = L.layernorm_forward(p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :],
+                               p["emb_ln.g"], p["emb_ln.b"])
+    for i in range(cfg.num_layers):
+        w = {k[len(f"blk{i}."):]: v for k, v in p.items() if k.startswith(f"blk{i}.")}
+        heads = [(x @ w[f"attn.w{n}"] + w[f"attn.b{n}"]).reshape(B, S, H, dh)
+                 .transpose(0, 2, 1, 3) for n in "qkv"]
+        qh, kh, vh = heads
+        scores = (qh @ kh.transpose(0, 1, 3, 2)) / np.sqrt(dh).astype(x.dtype)
+        attn = L.softmax_last(np.where(key_mask[:, None, None, :], scores, -np.inf))
+        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, S, d)
+        h1, _ = L.layernorm_forward(x + (ctx @ w["attn.wo"] + w["attn.bo"]),
+                                    w["ln1.g"], w["ln1.b"])
+        g, _ = L.gelu_forward(h1 @ w["ff.w1"] + w["ff.b1"])
+        x, _ = L.layernorm_forward(h1 + (g @ w["ff.w2"] + w["ff.b2"]),
+                                   w["ln2.g"], w["ln2.b"])
+    return x
+
+
+def reference_encode_pooled(encoder, layouts, batch_size):
+    """Pooled vectors of layouts as ``evaluate._encode_pooled`` computed them
+    before the pooled-only mode: reference-trimmed batches, full-sequence
+    forward, [CLS] rows."""
+    return np.concatenate([
+        reference_encode_states(encoder, *reference_stack_layouts(layouts[s:s + batch_size]))[:, 0]
+        for s in range(0, len(layouts), batch_size)])
