@@ -169,9 +169,9 @@ def cmd_ingest(args) -> int:
     stats_payload.update(vocab_size=vocab.size,
                          augmented_relations=augmented.num_relations,
                          augmented_train=len(augmented.splits["train"]))
-    with open(out_dir / "stats.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "stats.json", text=True) as fh:
         json.dump(stats_payload, fh, indent=1)
-    with open(out_dir / "dataset.json", "w", encoding="utf-8") as fh:
+    with atomic_write(out_dir / "dataset.json", text=True) as fh:
         json.dump({"dir": str(dataset_dir.resolve()), "name": rc.dataset.name,
                    "min_freq": rc.vocab.min_freq}, fh, indent=1)
 

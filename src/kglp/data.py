@@ -6,6 +6,10 @@ optional text files (``entity2text.tsv``, ``entity2textlong.tsv``,
 ``relation2text.tsv``; identifier TAB text). Raw identifiers are mapped to dense
 0-based indices in lexicographic order, so index assignment never depends on file
 order. All structures are immutable after construction and safe for concurrent reads.
+
+The filter index of known-true completions is array-backed (CSR): sorted packed
+keys, offsets into one array of every key's sorted tails, and the sorted packed
+(key, tail) codes; its set-valued lookups return copies (see ``FilterIndex``).
 """
 
 from __future__ import annotations
@@ -13,10 +17,14 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
+
+from .files import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -253,25 +261,115 @@ class FilterIndex:
     """Map from (entity, relation) query keys to the set of known-true completions.
 
     Built over the requested splits of an augmented graph, so tail queries (h, r)
-    and head queries (t, r_rev) are both covered by one tail-side pass. Lookups of
-    unknown keys return an empty set.
+    and head queries (t, r_rev) are both covered by one tail-side pass.
+
+    The index is four read-only int64 arrays (a CSR layout) rather than Python
+    sets: ``_codes`` holds the sorted unique packed completions
+    ``(head * R + relation) * E + tail``; ``_keys`` the sorted unique packed keys
+    ``head * R + relation``; ``_offsets`` the start of each key's run in
+    ``_tails``, which holds every key's tails in ascending order. ``E`` and ``R``
+    are the catalog sizes, so the packed codes must fit in int64. A lookup is a
+    binary search on ``_keys``.
+
+    ``index[key]`` returns a fresh ``set``, a copy that the caller may change
+    freely; unknown keys give an empty set. ``tails(key)`` returns the read-only
+    array slice without copying, for the ranking hot path. ``keys()`` yields
+    ``(entity, relation)`` tuples in ascending packed order.
+
+    ``FilterIndex(mapping, splits)`` builds the same arrays from a dict of
+    (entity, relation) keys to iterables of tails, with the catalog sizes taken
+    as one past the largest index present; keys with no tails are dropped.
     """
 
-    def __init__(self, index: dict[tuple[int, int], set[int]], splits: tuple[str, ...]):
-        self._index = index
+    def __init__(self, index: Mapping[tuple[int, int], Iterable[int]],
+                 splits: tuple[str, ...]):
+        rows = [(h, r, t) for (h, r), tails in index.items() for t in tails]
+        heads, relations, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        if rows and min(heads.min(), relations.min(), tails.min()) < 0:
+            raise ValueError("filter index entries must be non-negative")
+        num_entities = int(max(heads.max(), tails.max())) + 1 if rows else 0
+        num_relations = int(relations.max()) + 1 if rows else 0
+        self._pack(heads, relations, tails, num_entities, num_relations, splits)
+
+    @classmethod
+    def _from_columns(cls, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray,
+                     num_entities: int, num_relations: int,
+                     splits: tuple[str, ...]) -> FilterIndex:
+        """Index the completions (heads[i], relations[i], tails[i]) of a catalog
+        of the given sizes; duplicates are kept once."""
+        self = cls.__new__(cls)
+        self._pack(heads, relations, tails, num_entities, num_relations, splits)
+        return self
+
+    def _pack(self, heads, relations, tails, num_entities: int, num_relations: int,
+              splits: tuple[str, ...]) -> None:
+        if num_entities * num_entities * num_relations > np.iinfo(np.int64).max:
+            raise ValueError(
+                f"{num_entities} entities x {num_relations} relations overflow the "
+                f"int64 packed codes of the filter index")
         self.splits = splits
+        self._num_entities, self._num_relations = num_entities, num_relations
+        codes = (heads * num_relations + relations) * num_entities + tails
+        codes.sort()
+        fresh = np.ones(codes.size, dtype=bool)
+        np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
+        codes = codes[fresh]
+        keys_of_codes = codes // max(num_entities, 1)
+        starts = np.ones(codes.size, dtype=bool)
+        np.not_equal(keys_of_codes[1:], keys_of_codes[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
+        self._codes = codes
+        self._tails = codes - keys_of_codes * num_entities
+        self._keys = keys_of_codes[starts]
+        self._offsets = np.append(starts, codes.size)
+        for array in (self._codes, self._tails, self._keys, self._offsets):
+            array.flags.writeable = False
+
+    def _slot(self, key: tuple[int, int]) -> int:
+        """Position of ``key`` in ``_keys``, or -1 when it has no completions."""
+        head, relation = key
+        if not (0 <= head < self._num_entities and 0 <= relation < self._num_relations):
+            return -1
+        packed = int(head) * self._num_relations + int(relation)
+        slot = int(np.searchsorted(self._keys, packed))
+        if slot < self._keys.size and self._keys[slot] == packed:
+            return slot
+        return -1
+
+    def tails(self, key: tuple[int, int]) -> np.ndarray:
+        """Ascending read-only int64 array of the known completions of ``key``."""
+        slot = self._slot(key)
+        if slot < 0:
+            return self._tails[:0]
+        return self._tails[self._offsets[slot]:self._offsets[slot + 1]]
+
+    def completes(self, heads: np.ndarray, relations: np.ndarray,
+                  tails: np.ndarray) -> np.ndarray:
+        """Boolean (len(heads), len(tails)) matrix: cell (i, j) is whether
+        ``tails[j]`` completes the key ``(heads[i], relations[i])``."""
+        e, r = self._num_entities, self._num_relations
+        rows = (heads >= 0) & (heads < e) & (relations >= 0) & (relations < r)
+        cols = (tails >= 0) & (tails < e)
+        row_codes = (np.where(rows, heads, 0) * r + np.where(rows, relations, 0)) * e
+        codes = row_codes[:, None] + np.where(cols, tails, 0)[None, :]
+        if not self._codes.size:
+            return np.zeros(codes.shape, dtype=bool)
+        found = np.searchsorted(self._codes, codes)
+        np.minimum(found, self._codes.size - 1, out=found)
+        return (self._codes[found] == codes) & rows[:, None] & cols[None, :]
 
     def __getitem__(self, key: tuple[int, int]) -> set[int]:
-        return self._index.get(key, set())
+        return set(self.tails(key).tolist())
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return key in self._index
+        return self._slot(key) >= 0
 
     def __len__(self) -> int:
-        return len(self._index)
+        return self._keys.size
 
     def keys(self):
-        return self._index.keys()
+        r = max(self._num_relations, 1)
+        return zip((self._keys // r).tolist(), (self._keys % r).tolist())
 
 
 def _filter_triples(kg: KnowledgeGraph, splits: tuple[str, ...]):
@@ -282,12 +380,17 @@ def _filter_triples(kg: KnowledgeGraph, splits: tuple[str, ...]):
     return itertools.chain.from_iterable(kg.splits[name] for name in splits)
 
 
+def triple_columns(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Heads, relations and tails of a sequence of triples, as int64 arrays."""
+    return tuple(np.fromiter(map(attrgetter(f), triples), dtype=np.int64,
+                             count=len(triples))
+                 for f in ("head", "relation", "tail"))
+
+
 def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> FilterIndex:
     """Index all completions of every (entity, relation) key in the given splits."""
-    index: dict[tuple[int, int], set[int]] = {}
-    for triple in _filter_triples(kg, splits):
-        index.setdefault((triple.head, triple.relation), set()).add(triple.tail)
-    return FilterIndex(index, splits)
+    columns = triple_columns(list(_filter_triples(kg, splits)))
+    return FilterIndex._from_columns(*columns, kg.num_entities, kg.num_relations, splits)
 
 
 def known_completions(kg: KnowledgeGraph, key: tuple[int, int],
@@ -340,7 +443,7 @@ def save_catalogs(kg: KnowledgeGraph, path) -> None:
         "relation_base": kg.relation_base,
         "augmented": kg.augmented,
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, text=True) as fh:
         json.dump(payload, fh, ensure_ascii=False)
 
 

@@ -137,10 +137,12 @@ def query_scores(encoder: Encoder, pair_layouts, table_unit: np.ndarray) -> np.n
     return unit_rows(pooled)[0] @ table_unit.T
 
 
-def rank_from_scores(scores: np.ndarray, gold: int, known_true: set[int]) -> int:
+def rank_from_scores(scores: np.ndarray, gold: int,
+                     known_true: np.ndarray | set[int]) -> int:
     """Filtered mid-rank of the gold among the candidates.
 
-    Candidates in ``known_true`` other than the gold are discarded; the rank is
+    Candidates in ``known_true`` (an int array such as ``FilterIndex.tails``, or
+    a set) other than the gold are discarded; the rank is
     1 + (strictly better survivors) + ceil(ties / 2).
     """
     if not 0 <= gold < scores.shape[0]:
@@ -148,9 +150,10 @@ def rank_from_scores(scores: np.ndarray, gold: int, known_true: set[int]) -> int
     if not np.isfinite(scores[gold]):
         raise ValueError(f"score {scores[gold]} of gold entity {gold} is not finite")
     keep = np.ones(scores.shape[0], dtype=bool)
-    exclude = known_true - {gold}
-    if exclude:
-        keep[list(exclude)] = False
+    if not isinstance(known_true, np.ndarray):
+        known_true = np.fromiter(known_true, dtype=np.int64, count=len(known_true))
+    keep[known_true] = False
+    keep[gold] = True
     g = scores[gold]
     kept = scores[keep]
     greater = int((kept > g).sum())
@@ -164,7 +167,8 @@ def rank_query(query: RankingQuery, encoder: Encoder, cat: TokenizedCatalog,
     """Filtered rank of one query against the precomputed entity table."""
     layout = assemble_pair(cat, query.entity, query.relation, pair_max_len)
     scores = query_scores(encoder, [layout], table_unit_rows(entity_table))[0]
-    return rank_from_scores(scores, query.gold, filter_index[(query.entity, query.relation)])
+    return rank_from_scores(scores, query.gold,
+                            filter_index.tails((query.entity, query.relation)))
 
 
 def aggregate_ranks(ranks: np.ndarray) -> dict:
@@ -209,7 +213,7 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
         scores = query_scores(encoder, pair_layouts[start:start + batch_size], table_unit)
         for j, q in enumerate(chunk):
             rank = rank_from_scores(scores[j], q.gold,
-                                    filter_index[(q.entity, q.relation)])
+                                    filter_index.tails((q.entity, q.relation)))
             ranks[start + j] = rank
             if collect_per_query:
                 per_query.append({"entity": q.entity, "relation": q.relation,

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import FilterIndex, KnowledgeGraph, Triple, build_filter_index
+from .data import (FilterIndex, KnowledgeGraph, Triple, build_filter_index,
+                   triple_columns)
 from .encoder import Encoder
 from .layers import clip_global_norm, unit_rows
 from .optim import AdamW, warmup_linear_decay
@@ -59,16 +60,11 @@ def build_label_matrix(batch: list[Triple], filter_index: FilterIndex) -> np.nda
     """n x n binary labels: cell (i, j) is 1 iff tail_j completes query_i.
 
     The diagonal is always positive; off-diagonal positives appear when a batch
-    tail is a known completion of another row's (head, relation) key.
+    tail is a known completion of another row's (head, relation) key. All n x n
+    cells are looked up in one ``FilterIndex.completes`` search.
     """
-    n = len(batch)
-    y = np.zeros((n, n), dtype=np.int8)
-    for i, q in enumerate(batch):
-        known = filter_index[(q.head, q.relation)]
-        for j, c in enumerate(batch):
-            if c.tail in known:
-                y[i, j] = 1
-        y[i, i] = 1
+    y = filter_index.completes(*triple_columns(batch)).astype(np.int8)
+    np.fill_diagonal(y, 1)
     return y
 
 

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import KnowledgeGraph, corpus_texts
+from .files import atomic_write
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID, MASK_ID = 0, 1, 2, 3, 4
 RESERVED_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
@@ -63,7 +64,7 @@ class Vocabulary:
 
     def save(self, path) -> None:
         """One token per line; the line number is the id; lines 0-4 are reserved."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path, text=True) as fh:
             for token in self.id_to_token:
                 fh.write(token + "\n")
 

@@ -217,3 +217,18 @@ def test_known_completions_match_filter_index(pair_kg):
     key = next(iter(train.keys()))
     assert known_completions(pair_kg, key, ("train",)) == train[key]
 
+
+
+def test_filter_index_lookup_is_a_copy(toy_aug):
+    index = kglp.build_filter_index(toy_aug)
+    key = next(iter(index.keys()))
+    want = set(index[key])
+    known = index[key]
+    known.add(10 ** 6)
+    known |= {10 ** 6 + 1}
+    known.discard(next(iter(want)))
+    assert index[key] == want
+    missing = (0, 10 ** 6)
+    index[missing].add(1)
+    assert index[missing] == set()
+    assert missing not in index

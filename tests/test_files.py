@@ -1,16 +1,20 @@
 """Artifact writes are atomic: a writer that fails midway leaves the previous
 file byte for byte and no temporary file behind."""
 
+import builtins
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kglp
-from kglp.cli import write_manifest
+from kglp.cli import main, write_manifest
 from kglp.evaluate import RankingReport
 from kglp.files import atomic_write
+
+from util import make_pair_dataset
 
 
 def partial_savez(file, *args, **kwargs):
@@ -72,3 +76,50 @@ def test_failed_report_and_manifest_writes_keep_old_files(tmp_path, monkeypatch)
     assert_untouched(report_path, old_report, listing)
     assert_untouched(manifest_path, old_manifest, listing)
 
+
+
+class HalfWriter:
+    """A file whose second write stores half its data, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes == 2:
+            self._fh.write(data[:len(data) // 2])
+            raise OSError("disk full")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+@pytest.mark.parametrize("artifact", ["catalog.json", "vocab.txt", "stats.json",
+                                      "dataset.json"])
+def test_failed_reingest_keeps_old_artifact(tmp_path, monkeypatch, artifact):
+    out = tmp_path / "run"
+    old_data = make_pair_dataset(tmp_path / "old", n_pairs=12, seed=1)
+    new_data = make_pair_dataset(tmp_path / "new", n_pairs=20, seed=2)
+    assert main(["ingest", str(old_data), "--out", str(out)]) == 0
+    old = (out / artifact).read_bytes()
+    listing = sorted(os.listdir(out))
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = Path(file).name
+        writing = "w" in mode and (name == artifact or name.startswith(f".{artifact}."))
+        return HalfWriter(fh) if writing else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    assert main(["ingest", str(new_data), "--out", str(out), "--force"]) == 1
+    monkeypatch.undo()
+    assert_untouched(out / artifact, old, listing)

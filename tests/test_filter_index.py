@@ -1,0 +1,121 @@
+"""The array-backed filter index against a dict-of-sets oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kglp
+from kglp.data import SPLITS, FilterIndex, KnowledgeGraph, Triple, build_filter_index
+from kglp.finetune import build_label_matrix
+
+from util import naive_label_matrix
+
+
+def make_graph(n_entities: int, n_relations: int, splits: dict) -> KnowledgeGraph:
+    kg = KnowledgeGraph(
+        entity_ids=[f"e{i}" for i in range(n_entities)],
+        entity_names=[f"e{i}" for i in range(n_entities)],
+        entity_descriptions=[""] * n_entities,
+        relation_ids=[f"r{i}" for i in range(n_relations)],
+        relation_texts=[f"r{i}" for i in range(n_relations)],
+        relation_is_inverse=[False] * n_relations,
+        relation_base=list(range(n_relations)),
+        splits={name: [Triple(*t) for t in splits.get(name, [])] for name in SPLITS})
+    return kglp.augment_inverse(kg)
+
+
+def oracle(kg: KnowledgeGraph, splits) -> dict:
+    truth = {}
+    for name in splits:
+        for t in kg.splits[name]:
+            truth.setdefault((t.head, t.relation), set()).add(t.tail)
+    return truth
+
+
+@st.composite
+def graphs(draw):
+    n_entities = draw(st.integers(min_value=1, max_value=8))
+    n_relations = draw(st.integers(min_value=1, max_value=3))
+    triple = st.tuples(st.integers(0, n_entities - 1), st.integers(0, n_relations - 1),
+                       st.integers(0, n_entities - 1))
+    # a small pool drawn from repeatedly gives the same triple in several
+    # splits and keys with many tails; empty splits are allowed
+    pool = draw(st.lists(triple, min_size=1, max_size=12))
+    pick = st.lists(st.sampled_from(pool), max_size=12)
+    splits = {name: draw(pick) for name in SPLITS}
+    chosen = draw(st.sets(st.sampled_from(SPLITS)).map(
+        lambda s: tuple(name for name in SPLITS if name in s)))
+    return make_graph(n_entities, n_relations, splits), chosen
+
+
+probe = st.tuples(st.integers(-3, 12), st.integers(-3, 9))
+
+
+def assert_matches(index: FilterIndex, truth: dict, probes) -> None:
+    assert len(index) == len(truth)
+    assert set(index.keys()) == set(truth)
+    assert all(type(h) is int and type(r) is int for h, r in index.keys())
+    for key, tails in truth.items():
+        assert key in index
+        assert index[key] == tails
+        assert index.tails(key).tolist() == sorted(tails)
+    for key in probes:
+        assert (key in index) == (key in truth)
+        assert index[key] == truth.get(key, set())
+        assert index.tails(key).tolist() == sorted(truth.get(key, ()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=graphs(), probes=st.lists(probe, max_size=10))
+def test_index_matches_dict_of_sets(case, probes):
+    kg, splits = case
+    truth = oracle(kg, splits)
+    built = build_filter_index(kg, splits)
+    assert built.splits == splits
+    assert_matches(built, truth, probes)
+    from_mapping = FilterIndex(truth, splits)
+    assert_matches(from_mapping, truth, probes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=graphs(), rows=st.lists(probe, min_size=1, max_size=10), data=st.data())
+def test_label_matrix_matches_oracle_for_both_constructors(case, rows, data):
+    kg, splits = case
+    truth = oracle(kg, splits)
+    tails = data.draw(st.lists(st.integers(-2, 12), min_size=len(rows),
+                               max_size=len(rows)))
+    batch = [Triple(h, r, t) for (h, r), t in zip(rows, tails)]
+    want = naive_label_matrix(batch, truth)
+    for index in (build_filter_index(kg, splits), FilterIndex(truth, splits)):
+        y = build_label_matrix(batch, index)
+        assert y.dtype == np.int8
+        assert (y == want).all()
+
+
+def test_empty_index():
+    kg = make_graph(3, 2, {})
+    for index in (build_filter_index(kg), FilterIndex({}, ("train",))):
+        assert len(index) == 0
+        assert list(index.keys()) == []
+        assert (0, 0) not in index
+        assert index[(0, 0)] == set()
+        assert index.tails((0, 0)).size == 0
+        y = build_label_matrix([Triple(0, 0, 1), Triple(1, 0, 2)], index)
+        assert y.tolist() == [[1, 0], [0, 1]]
+
+
+def test_tails_are_read_only_views():
+    index = FilterIndex({(0, 0): {2, 1}, (1, 0): {0}}, ("train",))
+    tails = index.tails((0, 0))
+    assert tails.tolist() == [1, 2]
+    with pytest.raises(ValueError):
+        tails[0] = 5
+    assert index[(0, 0)] == {1, 2}
+
+
+def test_overflowing_catalog_is_refused():
+    with pytest.raises(ValueError, match="overflow"):
+        FilterIndex({(2 ** 40, 0): {1}}, ("train",))
+    with pytest.raises(ValueError, match="overflow"):
+        FilterIndex({(0, 2 ** 62): {1}}, ("train",))
