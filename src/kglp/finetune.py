@@ -8,14 +8,13 @@ loss per cell combines a focal term on the cosine similarity (mapped to a
 probability via p = (cos + 1) / 2, clamped away from {0, 1}) and a sigmoid term
 on the summed elementwise absolute difference of the two vectors; the batch
 loss is the mean over all cells. An ablation mode replaces in-batch negatives
-with k uniformly sampled negative entities per row.
+with k uniformly sampled negative entities per row. The epoch loop is
+``optim.run_epochs``; this module supplies the step and the validation.
 """
 
 from __future__ import annotations
 
-import json
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,9 +24,7 @@ from .data import (FilterIndex, KnowledgeGraph, Triple, build_filter_index,
                    triple_columns)
 from .encoder import Encoder
 from .layers import clip_global_norm, unit_rows
-from .optim import AdamW, warmup_linear_decay
-from .pretrain import TrainingDiverged
-from .sampling import derive_rng
+from .optim import AdamW, TrainingDiverged, run_epochs
 from .evaluate import evaluate as evaluate_ranking
 from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
                    stack_layouts)
@@ -231,6 +228,8 @@ class FinetuneStepReport:
     l2_mean: float
     n_pos: int
     n_neg: int
+    #: global gradient norm before clipping; None when clipping is off
+    grad_norm: float | None = None
 
 
 def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
@@ -283,14 +282,14 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
 
     grads = encoder.backward(pair_cache, d_pooled=dpair)
     encoder.backward(ent_cache, d_pooled=dent, grads=grads)
-    if config.clip_norm:
-        clip_global_norm(grads, config.clip_norm)
+    grad_norm = clip_global_norm(grads, config.clip_norm) if config.clip_norm else None
     optimizer.step(encoder.params, grads, lr_scale)
 
     considered = labels if cell_mask is None else labels[cell_mask]
     n_pos = int(considered.sum())
     return FinetuneStepReport(loss=loss, l1_mean=l1, l2_mean=l2,
-                              n_pos=n_pos, n_neg=considered.size - n_pos)
+                              n_pos=n_pos, n_neg=considered.size - n_pos,
+                              grad_norm=grad_norm)
 
 
 def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
@@ -298,65 +297,27 @@ def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
     """Fine-tune in place; model selection by validation Hits@10; returns history."""
     cat = TokenizedCatalog(kg, vocab)
     train = kg.splits["train"]
-    if not train:
-        raise ValueError("empty train split")
     label_filter = build_filter_index(kg, config.label_splits)
     eval_filter = build_filter_index(kg)
-    steps_per_epoch = math.ceil(len(train) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    optimizer = AdamW({"linear": config.lr_linear, "attention": config.lr_attention},
-                      weight_decay=config.weight_decay)
 
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    history: list[dict] = []
-    best_hits10 = -1.0
-    best_state = None
-    step = 0
-    try:
-        for epoch in range(config.epochs):
-            order = derive_rng(config.seed, _SHUFFLE, epoch).permutation(len(train))
-            dropout_rng = derive_rng(config.seed, _DROPOUT, epoch)
-            neg_rng = derive_rng(config.seed, _NEGATIVES, epoch)
-            epoch_loss = 0.0
-            for start in range(0, len(train), config.batch_size):
-                ids = [int(i) for i in order[start:start + config.batch_size]]
-                batch = [train[i] for i in ids]
-                lr_scale = warmup_linear_decay(step, total_steps, config.warmup_frac)
-                try:
-                    report = finetune_step(batch, encoder, cat, label_filter,
-                                           optimizer, lr_scale, config,
-                                           rng=dropout_rng, neg_rng=neg_rng)
-                except TrainingDiverged:
-                    raise TrainingDiverged(step, optimizer.learning_rates(lr_scale),
-                                           ids) from None
-                epoch_loss += report.loss
-                if log_fh and step % config.log_every == 0:
-                    log_fh.write(json.dumps({
-                        "step": step, "epoch": epoch, "loss": report.loss,
-                        "l1": report.l1_mean, "l2": report.l2_mean,
-                        "pos_cells": report.n_pos, "neg_cells": report.n_neg}) + "\n")
-                step += 1
+    def step(epoch, ids, optimizer, lr_scale, dropout_rng, neg_rng):
+        report = finetune_step([train[i] for i in ids], encoder, cat, label_filter,
+                               optimizer, lr_scale, config, rng=dropout_rng,
+                               neg_rng=neg_rng)
+        return ({"train_loss": report.loss},
+                {"loss": report.loss, "l1": report.l1_mean, "l2": report.l2_mean,
+                 "pos_cells": report.n_pos, "neg_cells": report.n_neg,
+                 "grad_norm": report.grad_norm})
 
-            record = {"epoch": epoch, "train_loss": epoch_loss / steps_per_epoch}
-            if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
-                val = evaluate_ranking(
-                    kg, encoder, "valid", vocab=vocab, cat=cat, filter_index=eval_filter,
-                    pair_max_len=config.pair_max_len,
-                    entity_max_len=config.entity_max_len)
-                record.update(val_hits10=val.hits10, val_mrr=val.mrr, val_mr=val.mr)
-                if val.hits10 > best_hits10:
-                    best_hits10 = val.hits10
-                    best_state = encoder.copy_params()
-                    record["best"] = True
-            history.append(record)
-            logger.info("finetune epoch %d: loss %.4f hits@10 %s", epoch,
-                        record["train_loss"], record.get("val_hits10"))
-            if log_fh:
-                log_fh.write(json.dumps({"epoch_summary": record}) + "\n")
-                log_fh.flush()
-    finally:
-        if log_fh:
-            log_fh.close()
-    if best_state is not None:
-        encoder.load_params(*best_state)
-    return history
+    def end_epoch(epoch):
+        if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+            val = evaluate_ranking(
+                kg, encoder, "valid", vocab=vocab, cat=cat, filter_index=eval_filter,
+                pair_max_len=config.pair_max_len, entity_max_len=config.entity_max_len)
+            return ({"val_hits10": val.hits10, "val_mrr": val.mrr, "val_mr": val.mr},
+                    val.hits10)
+        return {}, None
+
+    return run_epochs(encoder, config, train, kg.splits["valid"],
+                      (_SHUFFLE, _DROPOUT, _NEGATIVES), step, end_epoch,
+                      log_path=log_path)

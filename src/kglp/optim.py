@@ -1,17 +1,29 @@
-"""Decoupled-weight-decay adaptive optimizer and the warmup/decay schedule.
+"""Decoupled-weight-decay adaptive optimizer, the warmup/decay schedule, and the
+epoch driver that both training stages run on.
 
 Two learning-rate groups are supported (prediction-head "linear" parameters vs.
 embedding/attention parameters); the schedule scales both peaks by the same
 factor: linear ramp from 0 over the warmup steps, then linear decay to 0 at the
 final step. Weight decay applies only to matrices (ndim >= 2), never to biases
 or normalization parameters.
+
+``run_epochs`` is the one training loop: pre-training (``pretrain.py``) and
+fine-tuning (``finetune.py``) supply only a step and an end-of-epoch closure.
 """
 
 from __future__ import annotations
 
+import json
+import logging
+import math
+from typing import Callable, Sequence
+
 import numpy as np
 
-from .encoder import param_group
+from .encoder import Encoder, param_group
+from .sampling import derive_rng
+
+logger = logging.getLogger(__name__)
 
 
 def warmup_linear_decay(step: int, total_steps: int, warmup_frac: float) -> float:
@@ -118,3 +130,105 @@ class AdamW:
                 u += a
             u *= lr
             pb -= u
+
+
+class TrainingDiverged(RuntimeError):
+    """Raised when a loss turns non-finite; carries the step diagnostics."""
+
+    def __init__(self, step: int, lrs: dict, batch_ids: list[int]):
+        self.step = step
+        self.lrs = lrs
+        self.batch_ids = batch_ids
+        super().__init__(
+            f"non-finite loss at step {step} (lrs={lrs}, batch sample ids={batch_ids})")
+
+
+def _write_line(fh, record: dict) -> None:
+    """Append ``record`` as one JSON line in a single write, then flush, so a
+    killed run leaves only whole lines behind."""
+    fh.write(json.dumps(record) + "\n")
+    fh.flush()
+
+
+def run_epochs(encoder: Encoder, config, train: Sequence, valid: Sequence,
+               streams: tuple[int, ...], step_fn: Callable, epoch_fn: Callable,
+               log_path=None, patience: int | None = None) -> list[dict]:
+    """Train ``encoder`` in place, epoch by epoch; returns the epoch history.
+
+    ``config`` gives epochs, batch_size, seed, lr_linear, lr_attention,
+    weight_decay, warmup_frac, clip_norm and log_every. Each epoch shuffles
+    ``train`` by the stream tag ``streams[0]`` and derives one rng per further
+    tag. ``step_fn(epoch, ids, optimizer, lr_scale, *rngs)`` updates on the train
+    indices ``ids`` and returns ``(losses, fields)``: the epoch record holds each
+    loss's mean per step, and ``fields``, which include ``grad_norm``, go into
+    the step's log line. ``epoch_fn(epoch)`` returns validation fields for the
+    record and a score, higher is better, or None on an epoch not validated.
+    The best-scoring parameters are restored at the end; ``patience`` stops
+    training after that many scored epochs without improvement.
+    """
+    if not train:
+        raise ValueError("empty train split")
+    # an empty split validates as loss 0 / hits@10 0, so the first epoch would
+    # win every comparison and all later training would be thrown away
+    if not valid:
+        raise ValueError("empty valid split")
+    steps_per_epoch = math.ceil(len(train) / config.batch_size)
+    total_steps = config.epochs * steps_per_epoch
+    optimizer = AdamW({"linear": config.lr_linear, "attention": config.lr_attention},
+                      weight_decay=config.weight_decay)
+
+    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    history: list[dict] = []
+    best_score = -math.inf
+    best_state = None
+    bad_epochs = 0
+    step = 0
+    try:
+        for epoch in range(config.epochs):
+            order = derive_rng(config.seed, streams[0], epoch).permutation(len(train))
+            rngs = [derive_rng(config.seed, tag, epoch) for tag in streams[1:]]
+            sums: dict[str, float] = {}
+            for start in range(0, len(train), config.batch_size):
+                ids = [int(i) for i in order[start:start + config.batch_size]]
+                lr_scale = warmup_linear_decay(step, total_steps, config.warmup_frac)
+                try:
+                    losses, fields = step_fn(epoch, ids, optimizer, lr_scale, *rngs)
+                except TrainingDiverged:
+                    raise TrainingDiverged(step, optimizer.learning_rates(lr_scale),
+                                           ids) from None
+                for key, value in losses.items():
+                    sums[key] = sums.get(key, 0.0) + value
+                if log_fh and step % config.log_every == 0:
+                    clipped = (bool(config.clip_norm)
+                               and fields["grad_norm"] > config.clip_norm)
+                    _write_line(log_fh, {"step": step, "epoch": epoch, **fields,
+                                         "clipped": clipped})
+                step += 1
+
+            record = {"epoch": epoch,
+                      **{key: total / steps_per_epoch for key, total in sums.items()}}
+            fields, score = epoch_fn(epoch)
+            record.update(fields)
+            if score is not None:
+                improved = score > best_score
+                if improved:
+                    best_score = score
+                    best_state = encoder.copy_params()
+                    bad_epochs = 0
+                else:
+                    bad_epochs += 1
+                record["best"] = improved
+            history.append(record)
+            logger.info("epoch %d: %s", epoch, record)
+            if log_fh:
+                _write_line(log_fh, {"epoch_summary": record})
+            if patience is not None and bad_epochs >= patience:
+                logger.info("early stop after %d epochs without improvement",
+                            bad_epochs)
+                break
+    finally:
+        if log_fh:
+            log_fh.close()
+    if best_state is not None:
+        encoder.load_params(*best_state)
+    return history

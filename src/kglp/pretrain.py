@@ -1,4 +1,4 @@
-"""Multi-task pre-training loop.
+"""Multi-task pre-training.
 
 The per-step loss is the sum of two cross-entropies over one shared prediction
 head: the token-level term averages over positions with a ``y2`` target and the
@@ -6,13 +6,13 @@ item-level term over positions with a ``y1`` target (the item term realizes
 whichever of the three masking tasks produced each sample). Positions without a
 target contribute nothing. Optimization is AdamW with two learning-rate groups,
 linear warmup over the first fraction of steps then linear decay, global-norm
-gradient clipping, and early stopping on total validation loss.
+gradient clipping, and early stopping on total validation loss. The epoch loop
+itself is ``optim.run_epochs``; this module supplies the step and the
+validation.
 """
 
 from __future__ import annotations
 
-import json
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -21,25 +21,12 @@ import numpy as np
 from .data import KnowledgeGraph
 from .encoder import Encoder
 from .layers import clip_global_norm, cross_entropy, per_row_nll
-from .optim import AdamW, warmup_linear_decay
+from .optim import AdamW, TrainingDiverged, run_epochs
 from .sampling import PretrainSample, build_pretrain_sample, derive_rng
 from .text import PAD_ID, TokenizedCatalog, Vocabulary, trim_width
 
-logger = logging.getLogger(__name__)
-
 # rng stream tags so shuffling, masking, dropout, and validation never collide
 _SHUFFLE, _SAMPLE, _DROPOUT, _VALID = 1, 2, 3, 4
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a loss turns non-finite; carries the step diagnostics."""
-
-    def __init__(self, step: int, lrs: dict, batch_ids: list[int]):
-        self.step = step
-        self.lrs = lrs
-        self.batch_ids = batch_ids
-        super().__init__(
-            f"non-finite loss at step {step} (lrs={lrs}, batch sample ids={batch_ids})")
 
 
 @dataclass
@@ -63,13 +50,16 @@ class PretrainLossReport:
     """Per-batch loss decomposition; ``total`` is exactly mlm + mim.
 
     ``task_losses`` splits the item term by the masking task that produced each
-    sample (the mim loss is their position-count weighted mean).
+    sample (the mim loss is their position-count weighted mean). ``grad_norm``
+    is the global gradient norm before clipping; None when clipping is off,
+    since the norm is then never computed.
     """
 
     mlm_loss: float
     mim_loss: float
     task_counts: dict[str, int] = field(default_factory=dict)
     task_losses: dict[str, float] = field(default_factory=dict)
+    grad_norm: float | None = None
 
     @property
     def total(self) -> float:
@@ -141,15 +131,15 @@ def pretrain_step(samples: list[PretrainSample], encoder: Encoder,
         raise TrainingDiverged(-1, {}, [])
     cache, d_token_states, task_losses = ctx
     encoder.backward(cache, d_states=d_token_states, grads=grads)
-    if clip_norm:
-        clip_global_norm(grads, clip_norm)
+    grad_norm = clip_global_norm(grads, clip_norm) if clip_norm else None
     optimizer.step(encoder.params, grads, lr_scale)
 
     counts: dict[str, int] = {}
     for s in samples:
         counts[s.task] = counts.get(s.task, 0) + 1
     return PretrainLossReport(mlm_loss=mlm_loss, mim_loss=mim_loss,
-                              task_counts=counts, task_losses=task_losses)
+                              task_counts=counts, task_losses=task_losses,
+                              grad_norm=grad_norm)
 
 
 def validation_loss(encoder: Encoder, cat: TokenizedCatalog, triples,
@@ -181,81 +171,28 @@ def run_pretraining(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
     cat = TokenizedCatalog(kg, vocab)
     train = kg.splits["train"]
     valid = kg.splits["valid"]
-    if not train:
-        raise ValueError("empty train split")
-    steps_per_epoch = math.ceil(len(train) / config.batch_size)
-    total_steps = config.epochs * steps_per_epoch
-    optimizer = AdamW({"linear": config.lr_linear, "attention": config.lr_attention},
-                      weight_decay=config.weight_decay)
 
-    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
-    history: list[dict] = []
-    best_val = math.inf
-    best_state = None
-    bad_epochs = 0
-    step = 0
-    try:
-        for epoch in range(config.epochs):
-            order = derive_rng(config.seed, _SHUFFLE, epoch).permutation(len(train))
-            dropout_rng = derive_rng(config.seed, _DROPOUT, epoch)
-            epoch_mlm = epoch_mim = 0.0
-            for start in range(0, len(train), config.batch_size):
-                ids = [int(i) for i in order[start:start + config.batch_size]]
-                samples = [
-                    build_pretrain_sample(train[i], cat, config.max_len,
-                                          derive_rng(config.seed, _SAMPLE, epoch, i),
-                                          mlm_only=config.mlm_only)
-                    for i in ids
-                ]
-                lr_scale = warmup_linear_decay(step, total_steps, config.warmup_frac)
-                try:
-                    report = pretrain_step(samples, encoder, optimizer, lr_scale,
-                                           rng=dropout_rng, clip_norm=config.clip_norm)
-                except TrainingDiverged:
-                    raise TrainingDiverged(step, optimizer.learning_rates(lr_scale),
-                                           ids) from None
-                epoch_mlm += report.mlm_loss
-                epoch_mim += report.mim_loss
-                if log_fh and step % config.log_every == 0:
-                    lrs = optimizer.learning_rates(lr_scale)
-                    log_fh.write(json.dumps({
-                        "step": step, "epoch": epoch,
-                        "lr_linear": lrs["linear"], "lr_attention": lrs["attention"],
-                        "mlm_loss": report.mlm_loss, "mim_loss": report.mim_loss,
-                        "tasks": report.task_counts,
-                        "task_losses": report.task_losses}) + "\n")
-                step += 1
+    def step(epoch, ids, optimizer, lr_scale, dropout_rng):
+        samples = [
+            build_pretrain_sample(train[i], cat, config.max_len,
+                                  derive_rng(config.seed, _SAMPLE, epoch, i),
+                                  mlm_only=config.mlm_only)
+            for i in ids
+        ]
+        report = pretrain_step(samples, encoder, optimizer, lr_scale,
+                               rng=dropout_rng, clip_norm=config.clip_norm)
+        lrs = optimizer.learning_rates(lr_scale)
+        return ({"train_mlm": report.mlm_loss, "train_mim": report.mim_loss},
+                {"lr_linear": lrs["linear"], "lr_attention": lrs["attention"],
+                 "mlm_loss": report.mlm_loss, "mim_loss": report.mim_loss,
+                 "tasks": report.task_counts, "task_losses": report.task_losses,
+                 "grad_norm": report.grad_norm})
 
-            val_mlm, val_mim = validation_loss(encoder, cat, valid, config)
-            val_total = val_mlm + val_mim
-            improved = val_total < best_val
-            if improved:
-                best_val = val_total
-                best_state = encoder.copy_params()
-                bad_epochs = 0
-            else:
-                bad_epochs += 1
-            record = {
-                "epoch": epoch,
-                "train_mlm": epoch_mlm / steps_per_epoch,
-                "train_mim": epoch_mim / steps_per_epoch,
-                "val_mlm": val_mlm, "val_mim": val_mim, "val_total": val_total,
-                "best": improved,
-            }
-            history.append(record)
-            logger.info("pretrain epoch %d: train %.4f val %.4f%s", epoch,
-                        record["train_mlm"] + record["train_mim"], val_total,
-                        " *" if improved else "")
-            if log_fh:
-                log_fh.write(json.dumps({"epoch_summary": record}) + "\n")
-                log_fh.flush()
-            if bad_epochs >= config.patience:
-                logger.info("early stop after %d epochs without improvement",
-                            bad_epochs)
-                break
-    finally:
-        if log_fh:
-            log_fh.close()
-    if best_state is not None:
-        encoder.load_params(*best_state)
-    return history
+    def end_epoch(epoch):
+        val_mlm, val_mim = validation_loss(encoder, cat, valid, config)
+        val_total = val_mlm + val_mim
+        return ({"val_mlm": val_mlm, "val_mim": val_mim, "val_total": val_total},
+                -val_total)
+
+    return run_epochs(encoder, config, train, valid, (_SHUFFLE, _DROPOUT), step,
+                      end_epoch, log_path=log_path, patience=config.patience)

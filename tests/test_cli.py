@@ -168,6 +168,23 @@ def test_pretrain_requires_ingest(tmp_path, capsys):
     assert "ingest" in capsys.readouterr().err
 
 
+def test_empty_valid_split_exits_2(tmp_path, capsys):
+    dataset = make_pair_dataset(tmp_path / "no_valid", n_pairs=30, seed=4)
+    valid = dataset / "valid.tsv"
+    with open(dataset / "train.tsv", "a", encoding="utf-8") as fh:
+        fh.write(valid.read_text())
+    valid.write_text("")
+    out = tmp_path / "run"
+    assert main(["ingest", str(dataset), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["pretrain", "--out", str(out), *SMALL]) == 2
+    assert "empty valid split" in capsys.readouterr().err
+    assert main(["finetune", "--out", str(out), "--checkpoint", "none", *SMALL]) == 2
+    assert "empty valid split" in capsys.readouterr().err
+    assert not (out / "pretrain.npz").exists()
+    assert not (out / "finetune.npz").exists()
+
+
 def test_finetune_requires_checkpoint_or_none(cli_dataset, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["ingest", str(cli_dataset), "--out", str(out)]) == 0

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,8 @@ from kglp.pretrain import TrainingDiverged
 from kglp.text import TokenizedCatalog
 
 from util import (naive_cosine, naive_label_matrix, reference_finetune_report,
-                  reference_ranks, rel_error, scalar_joint_loss)
+                  reference_ranks, reference_run_finetune, rel_error,
+                  scalar_joint_loss)
 
 
 def filter_from_dict(d):
@@ -351,3 +354,56 @@ def test_step_report_table_and_ranks_match_reference(pair_kg, pair_vocab, mode):
     report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
                       entity_max_len=12, batch_size=7)
     assert [q["rank"] for q in report.per_query] == ranks
+
+
+@pytest.mark.parametrize("mode, clip_norm", [("in_batch", 1.0), ("uniform_k", 0.0)])
+def test_run_finetune_matches_reference_loop(pair_kg, pair_vocab, tmp_path, mode,
+                                             clip_norm):
+    cfg = FinetuneConfig(epochs=3, batch_size=32, pair_max_len=32, entity_max_len=16,
+                         seed=2, lr_linear=1e-3, lr_attention=5e-4, eval_every=2,
+                         negative_mode=mode, num_negatives=2, clip_norm=clip_norm,
+                         log_every=3)
+    runs = []
+    for run in (reference_run_finetune, run_finetune):
+        enc = kglp.Encoder(kglp.EncoderConfig(
+            vocab_size=pair_vocab.size, hidden_size=32, num_layers=1, num_heads=4,
+            ff_size=48, max_len=32), seed=1)
+        log_path = tmp_path / f"{run.__name__}.jsonl"
+        history = run(pair_kg, pair_vocab, enc, cfg, log_path=log_path)
+        log = [json.loads(line) for line in log_path.read_text().splitlines()]
+        runs.append((enc, history, log))
+    (want_enc, want_history, want_log), (enc, history, log) = runs
+
+    # the one documented difference: a validated epoch that does not improve
+    # now says so with "best": false instead of leaving the key out
+    for record in want_history:
+        if "val_hits10" in record:
+            record.setdefault("best", False)
+    assert [("best" in h) for h in history] == [False, True, True]
+    assert history == want_history
+    for name in ("params", "buffers"):
+        want, got = getattr(want_enc, name), getattr(enc, name)
+        assert want.keys() == got.keys()
+        assert all(np.array_equal(want[k], got[k]) for k in want), name
+    want_steps = [r for r in want_log if "step" in r]
+    steps = [r for r in log if "step" in r]
+    assert [r["epoch_summary"] for r in log if "epoch_summary" in r] == history
+    assert [{k: v for k, v in r.items() if k not in ("grad_norm", "clipped")}
+            for r in steps] == want_steps
+    for r in steps:
+        if clip_norm:
+            assert r["clipped"] == (r["grad_norm"] > clip_norm)
+        else:  # clipping off: the norm is never computed
+            assert r["grad_norm"] is None and r["clipped"] is False
+
+
+def test_empty_valid_split_rejected_before_any_step(pair_kg, pair_vocab, monkeypatch):
+    train = pair_kg.splits["train"] + pair_kg.splits["valid"]
+    kg = dataclasses.replace(pair_kg, splits=dict(pair_kg.splits, train=train, valid=[]))
+    monkeypatch.setattr(ft, "finetune_step", None)  # any step call would fail
+    enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=pair_vocab.size, hidden_size=32,
+                                          num_layers=1, num_heads=4, ff_size=48,
+                                          max_len=32), seed=1)
+    cfg = FinetuneConfig(epochs=2, batch_size=32, pair_max_len=32, entity_max_len=16)
+    with pytest.raises(ValueError, match="empty valid split"):
+        run_finetune(kg, pair_vocab, enc, cfg)

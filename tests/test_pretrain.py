@@ -1,10 +1,13 @@
 import copy
+import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import kglp
+from kglp import pretrain
 from kglp.layers import cross_entropy
 from kglp.optim import AdamW
 from kglp.pretrain import (PretrainConfig, TrainingDiverged, pretrain_step,
@@ -12,7 +15,7 @@ from kglp.pretrain import (PretrainConfig, TrainingDiverged, pretrain_step,
 from kglp.sampling import MRM, build_pretrain_sample, derive_rng
 from kglp.text import TokenizedCatalog
 
-from util import ForcedRng, reference_pretrain_losses
+from util import ForcedRng, reference_pretrain_losses, reference_run_pretraining
 
 
 @pytest.fixture(scope="module")
@@ -203,3 +206,96 @@ def test_pretrain_step_losses_match_reference_trim(pair_kg, pair_cat, pair_vocab
                                          copy.deepcopy(rng))
         report = pretrain_step(samples, enc, opt, 1.0, rng=rng)
         assert (report.mlm_loss, report.mim_loss) == want
+
+
+def test_run_pretraining_matches_reference_loop(pair_kg, pair_vocab, tmp_path):
+    # a high learning rate overshoots after epoch 3, so early stop fires and
+    # the restored parameters are not the last epoch's
+    cfg = PretrainConfig(epochs=8, batch_size=32, max_len=32, seed=3, lr_linear=1e-2,
+                         lr_attention=1e-2, patience=1, log_every=3)
+    runs = []
+    for run in (reference_run_pretraining, run_pretraining):
+        enc = kglp.Encoder(kglp.EncoderConfig(
+            vocab_size=pair_vocab.size, hidden_size=32, num_layers=1, num_heads=4,
+            ff_size=48, max_len=32), seed=1)
+        log_path = tmp_path / f"{run.__name__}.jsonl"
+        history = run(pair_kg, pair_vocab, enc, cfg, log_path=log_path)
+        log = [json.loads(line) for line in log_path.read_text().splitlines()]
+        runs.append((enc, history, log))
+    (want_enc, want_history, want_log), (enc, history, log) = runs
+
+    assert len(history) < cfg.epochs
+    assert [h["best"] for h in history][-2:] == [True, False]
+    assert history == want_history
+    for name in ("params", "buffers"):
+        want, got = getattr(want_enc, name), getattr(enc, name)
+        assert want.keys() == got.keys()
+        assert all(np.array_equal(want[k], got[k]) for k in want), name
+    assert [{k: v for k, v in r.items() if k not in ("grad_norm", "clipped")}
+            for r in log] == want_log
+    steps = [r for r in log if "step" in r]
+    assert all(r["clipped"] == (r["grad_norm"] > cfg.clip_norm) for r in steps)
+    assert any(r["clipped"] for r in steps)
+
+
+def test_run_pretraining_divergence_matches_reference(pair_kg, pair_vocab, monkeypatch):
+    real_step = pretrain.pretrain_step
+    calls = []
+
+    def diverge_at_fifth_call(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise TrainingDiverged(-1, {}, [])
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "pretrain_step", diverge_at_fifth_call)
+    cfg = PretrainConfig(epochs=2, batch_size=64, max_len=32, seed=0)
+    errors = []
+    for run in (reference_run_pretraining, run_pretraining):
+        calls.clear()
+        with pytest.raises(TrainingDiverged) as err:
+            run(pair_kg, pair_vocab, small_encoder(pair_vocab.size), cfg)
+        errors.append((err.value.step, err.value.lrs, err.value.batch_ids))
+    assert errors[0][0] == 4
+    assert errors[1] == errors[0]
+
+
+def test_empty_valid_split_rejected_before_any_step(pair_kg, pair_vocab, monkeypatch):
+    train = pair_kg.splits["train"] + pair_kg.splits["valid"]
+    kg = dataclasses.replace(pair_kg, splits=dict(pair_kg.splits, train=train, valid=[]))
+    monkeypatch.setattr(pretrain, "pretrain_step", None)  # any step call would fail
+    cfg = PretrainConfig(epochs=6, batch_size=64, max_len=32, patience=2)
+    with pytest.raises(ValueError, match="empty valid split"):
+        run_pretraining(kg, pair_vocab, small_encoder(pair_vocab.size), cfg)
+
+
+def test_step_log_lines_are_whole_while_training(pair_kg, pair_vocab, tmp_path,
+                                                 monkeypatch):
+    real_step = pretrain.pretrain_step
+    log_path = tmp_path / "log.jsonl"
+    seen = []
+
+    def read_log_at_third_call(*args, **kwargs):
+        seen.append(log_path.read_text())
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(pretrain, "pretrain_step", read_log_at_third_call)
+    cfg = PretrainConfig(epochs=1, batch_size=64, max_len=32, log_every=1)
+    run_pretraining(pair_kg, pair_vocab, small_encoder(pair_vocab.size), cfg,
+                    log_path=log_path)
+    text = seen[2]
+    assert text.endswith("\n")
+    assert [json.loads(line)["step"] for line in text.splitlines()] == [0, 1]
+
+
+def test_grad_norm_is_the_norm_before_clipping(pair_kg, pair_cat, pair_vocab):
+    samples = make_batch(pair_kg, pair_cat, n=8)
+    enc = small_encoder(pair_vocab.size)
+    norms = {}
+    for clip_norm in (0.0, 1e-3, 1e9):
+        opt = AdamW({"linear": 1e-4, "attention": 5e-5})
+        report = pretrain_step(samples, copy.deepcopy(enc), opt, 1.0,
+                               rng=np.random.default_rng(0), clip_norm=clip_norm)
+        norms[clip_norm] = report.grad_norm
+    assert norms[0.0] is None  # clipping off: the norm is never computed
+    assert norms[1e-3] == norms[1e9] > 1e-3

@@ -436,3 +436,174 @@ def reference_encode_pooled(encoder, layouts, batch_size):
     return np.concatenate([
         reference_encode_states(encoder, *reference_stack_layouts(layouts[s:s + batch_size]))[:, 0]
         for s in range(0, len(layouts), batch_size)])
+
+
+def reference_run_pretraining(kg, vocab, encoder, config, log_path=None) -> list[dict]:
+    """The pre-training epoch loop as it stood before ``optim.run_epochs``,
+    minus its logging calls; the stream tags are the original literals."""
+    import json
+    import math
+
+    from kglp import pretrain
+    from kglp.optim import AdamW, warmup_linear_decay
+    from kglp.sampling import build_pretrain_sample, derive_rng
+    from kglp.text import TokenizedCatalog
+    TrainingDiverged = pretrain.TrainingDiverged
+    _SHUFFLE, _SAMPLE, _DROPOUT = 1, 2, 3
+
+    cat = TokenizedCatalog(kg, vocab)
+    train = kg.splits["train"]
+    valid = kg.splits["valid"]
+    if not train:
+        raise ValueError("empty train split")
+    steps_per_epoch = math.ceil(len(train) / config.batch_size)
+    total_steps = config.epochs * steps_per_epoch
+    optimizer = AdamW({"linear": config.lr_linear, "attention": config.lr_attention},
+                      weight_decay=config.weight_decay)
+
+    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    history: list[dict] = []
+    best_val = math.inf
+    best_state = None
+    bad_epochs = 0
+    step = 0
+    try:
+        for epoch in range(config.epochs):
+            order = derive_rng(config.seed, _SHUFFLE, epoch).permutation(len(train))
+            dropout_rng = derive_rng(config.seed, _DROPOUT, epoch)
+            epoch_mlm = epoch_mim = 0.0
+            for start in range(0, len(train), config.batch_size):
+                ids = [int(i) for i in order[start:start + config.batch_size]]
+                samples = [
+                    build_pretrain_sample(train[i], cat, config.max_len,
+                                          derive_rng(config.seed, _SAMPLE, epoch, i),
+                                          mlm_only=config.mlm_only)
+                    for i in ids
+                ]
+                lr_scale = warmup_linear_decay(step, total_steps, config.warmup_frac)
+                try:
+                    report = pretrain.pretrain_step(samples, encoder, optimizer, lr_scale,
+                                                    rng=dropout_rng,
+                                                    clip_norm=config.clip_norm)
+                except TrainingDiverged:
+                    raise TrainingDiverged(step, optimizer.learning_rates(lr_scale),
+                                           ids) from None
+                epoch_mlm += report.mlm_loss
+                epoch_mim += report.mim_loss
+                if log_fh and step % config.log_every == 0:
+                    lrs = optimizer.learning_rates(lr_scale)
+                    log_fh.write(json.dumps({
+                        "step": step, "epoch": epoch,
+                        "lr_linear": lrs["linear"], "lr_attention": lrs["attention"],
+                        "mlm_loss": report.mlm_loss, "mim_loss": report.mim_loss,
+                        "tasks": report.task_counts,
+                        "task_losses": report.task_losses}) + "\n")
+                step += 1
+
+            val_mlm, val_mim = pretrain.validation_loss(encoder, cat, valid, config)
+            val_total = val_mlm + val_mim
+            improved = val_total < best_val
+            if improved:
+                best_val = val_total
+                best_state = encoder.copy_params()
+                bad_epochs = 0
+            else:
+                bad_epochs += 1
+            record = {
+                "epoch": epoch,
+                "train_mlm": epoch_mlm / steps_per_epoch,
+                "train_mim": epoch_mim / steps_per_epoch,
+                "val_mlm": val_mlm, "val_mim": val_mim, "val_total": val_total,
+                "best": improved,
+            }
+            history.append(record)
+            if log_fh:
+                log_fh.write(json.dumps({"epoch_summary": record}) + "\n")
+                log_fh.flush()
+            if bad_epochs >= config.patience:
+                break
+    finally:
+        if log_fh:
+            log_fh.close()
+    if best_state is not None:
+        encoder.load_params(*best_state)
+    return history
+
+
+def reference_run_finetune(kg, vocab, encoder, config, log_path=None) -> list[dict]:
+    """The fine-tuning epoch loop as it stood before ``optim.run_epochs``,
+    minus its logging calls; the stream tags are the original literals."""
+    import json
+    import math
+
+    from kglp import finetune
+    from kglp.data import build_filter_index
+    from kglp.evaluate import evaluate as evaluate_ranking
+    from kglp.optim import AdamW, warmup_linear_decay
+    from kglp.sampling import derive_rng
+    from kglp.text import TokenizedCatalog
+    TrainingDiverged = finetune.TrainingDiverged
+    _SHUFFLE, _DROPOUT, _NEGATIVES = 11, 12, 13
+
+    cat = TokenizedCatalog(kg, vocab)
+    train = kg.splits["train"]
+    if not train:
+        raise ValueError("empty train split")
+    label_filter = build_filter_index(kg, config.label_splits)
+    eval_filter = build_filter_index(kg)
+    steps_per_epoch = math.ceil(len(train) / config.batch_size)
+    total_steps = config.epochs * steps_per_epoch
+    optimizer = AdamW({"linear": config.lr_linear, "attention": config.lr_attention},
+                      weight_decay=config.weight_decay)
+
+    log_fh = open(log_path, "w", encoding="utf-8") if log_path else None
+    history: list[dict] = []
+    best_hits10 = -1.0
+    best_state = None
+    step = 0
+    try:
+        for epoch in range(config.epochs):
+            order = derive_rng(config.seed, _SHUFFLE, epoch).permutation(len(train))
+            dropout_rng = derive_rng(config.seed, _DROPOUT, epoch)
+            neg_rng = derive_rng(config.seed, _NEGATIVES, epoch)
+            epoch_loss = 0.0
+            for start in range(0, len(train), config.batch_size):
+                ids = [int(i) for i in order[start:start + config.batch_size]]
+                batch = [train[i] for i in ids]
+                lr_scale = warmup_linear_decay(step, total_steps, config.warmup_frac)
+                try:
+                    report = finetune.finetune_step(batch, encoder, cat, label_filter,
+                                                    optimizer, lr_scale, config,
+                                                    rng=dropout_rng, neg_rng=neg_rng)
+                except TrainingDiverged:
+                    raise TrainingDiverged(step, optimizer.learning_rates(lr_scale),
+                                           ids) from None
+                epoch_loss += report.loss
+                if log_fh and step % config.log_every == 0:
+                    log_fh.write(json.dumps({
+                        "step": step, "epoch": epoch, "loss": report.loss,
+                        "l1": report.l1_mean, "l2": report.l2_mean,
+                        "pos_cells": report.n_pos, "neg_cells": report.n_neg}) + "\n")
+                step += 1
+
+            record = {"epoch": epoch, "train_loss": epoch_loss / steps_per_epoch}
+            if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
+                val = evaluate_ranking(
+                    kg, encoder, "valid", vocab=vocab, cat=cat, filter_index=eval_filter,
+                    pair_max_len=config.pair_max_len,
+                    entity_max_len=config.entity_max_len)
+                record.update(val_hits10=val.hits10, val_mrr=val.mrr, val_mr=val.mr)
+                if val.hits10 > best_hits10:
+                    best_hits10 = val.hits10
+                    best_state = encoder.copy_params()
+                    record["best"] = True
+            history.append(record)
+            if log_fh:
+                log_fh.write(json.dumps({"epoch_summary": record}) + "\n")
+                log_fh.flush()
+    finally:
+        if log_fh:
+            log_fh.close()
+    if best_state is not None:
+        encoder.load_params(*best_state)
+    return history
