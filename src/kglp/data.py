@@ -7,6 +7,12 @@ optional text files (``entity2text.tsv``, ``entity2textlong.tsv``,
 0-based indices in lexicographic order, so index assignment never depends on file
 order. All structures are immutable after construction and safe for concurrent reads.
 
+Each split is a read-only ``Triples``: a ``Sequence[Triple]`` backed by one
+C-contiguous ``(n, 3)`` int64 array of (head, relation, tail) rows. Indexing and
+iteration yield ``Triple`` objects; bulk work (inverse augmentation, filter
+builds, resplits, query lists) reads the array's columns. Code that appended to
+or sorted a split takes a list first: ``list(kg.splits[name])``.
+
 The filter index of known-true completions is array-backed (CSR): sorted packed
 keys, offsets into one array of every key's sorted tails, and the sorted packed
 (key, tail) codes; its set-valued lookups return copies (see ``FilterIndex``).
@@ -17,9 +23,10 @@ from __future__ import annotations
 import itertools
 import json
 import logging
-from collections.abc import Iterable, Mapping
+import operator
+from collections.abc import Iterable, Mapping, Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -61,13 +68,99 @@ class Triple:
     tail: int
 
 
+_triple_fields = operator.attrgetter("head", "relation", "tail")
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """``array`` as a read-only C-contiguous int64 array (copied only to get there)."""
+    array = np.ascontiguousarray(array, dtype=np.int64)
+    array.flags.writeable = False
+    return array
+
+
+class Triples(Sequence):
+    """A read-only sequence of ``Triple`` backed by one C-contiguous ``(n, 3)``
+    int64 array of (head, relation, tail) rows.
+
+    Built from an iterable of ``Triple``, from an integer array of shape
+    ``(n, 3)`` (copied), or from another ``Triples`` (shared; both are
+    read-only). An int index gives a ``Triple``, a slice gives ``Triples``; ``+``
+    concatenates with ``Triples`` or a list of ``Triple``. ``==`` compares rows
+    with another ``Triples`` and elements with a list. ``array`` is the
+    read-only backing array; its columns are the heads, relations and tails.
+    """
+
+    __slots__ = ("_array",)
+
+    def __init__(self, triples: Iterable[Triple] | np.ndarray = ()):
+        if isinstance(triples, Triples):
+            self._array = triples._array
+            return
+        if isinstance(triples, np.ndarray):
+            if triples.size and not np.issubdtype(triples.dtype, np.integer):
+                raise TypeError(f"triple array must be integer, got {triples.dtype}")
+            if triples.size and (triples.ndim != 2 or triples.shape[1] != 3):
+                raise ValueError(f"triple array must have shape (n, 3), got {triples.shape}")
+            array = np.array(triples, dtype=np.int64, order="C").reshape(-1, 3)
+        else:
+            triples = list(triples)
+            array = np.fromiter(itertools.chain.from_iterable(map(_triple_fields, triples)),
+                                dtype=np.int64, count=3 * len(triples)).reshape(-1, 3)
+        self._array = _frozen(array)
+
+    @classmethod
+    def _own(cls, array: np.ndarray) -> Triples:
+        """Wrap an ``(n, 3)`` int64 array that no one else writes, without a copy."""
+        self = cls.__new__(cls)
+        self._array = _frozen(array)
+        return self
+
+    @property
+    def array(self) -> np.ndarray:
+        return self._array
+
+    def __len__(self) -> int:
+        return self._array.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Triples._own(self._array[index])
+        return Triple(*self._array[operator.index(index)].tolist())
+
+    def __iter__(self):
+        # in blocks, so iterating never holds the whole split as Python ints
+        for start in range(0, len(self), 4096):
+            yield from itertools.starmap(Triple, self._array[start:start + 4096].tolist())
+
+    def __contains__(self, triple) -> bool:
+        if not isinstance(triple, Triple):
+            return False
+        return bool((self._array == _triple_fields(triple)).all(axis=1).any())
+
+    def __eq__(self, other):
+        if isinstance(other, Triples):
+            return np.array_equal(self._array, other._array)
+        if isinstance(other, list):
+            return list(self) == other
+        return NotImplemented
+
+    def __add__(self, other):
+        if not isinstance(other, (Triples, list)):
+            return NotImplemented
+        return Triples._own(np.concatenate([self._array, Triples(other)._array]))
+
+    def __repr__(self) -> str:
+        return f"Triples({self._array!r})"
+
+
 @dataclass
 class KnowledgeGraph:
-    """Entity/relation catalogs plus train/valid/test triple lists.
+    """Entity/relation catalogs plus train/valid/test triple splits.
 
     ``entity_ids`` / ``relation_ids`` hold the raw string identifiers; a string's
     position is its dense index. ``relation_base[r]`` is ``r`` for an original
-    relation and the original's index for a synthesized inverse.
+    relation and the original's index for a synthesized inverse. Each split may
+    be given as any iterable of ``Triple`` and is held as read-only ``Triples``.
     """
 
     entity_ids: list[str]
@@ -77,12 +170,13 @@ class KnowledgeGraph:
     relation_texts: list[str]
     relation_is_inverse: list[bool]
     relation_base: list[int]
-    splits: dict[str, list[Triple]]
+    splits: dict[str, Triples]
     augmented: bool = False
     _entity_index: dict[str, int] = field(default_factory=dict, repr=False)
     _relation_index: dict[str, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        self.splits = {name: Triples(triples) for name, triples in self.splits.items()}
         if not self._entity_index:
             self._entity_index = {e: i for i, e in enumerate(self.entity_ids)}
         if not self._relation_index:
@@ -118,9 +212,8 @@ class KnowledgeGraph:
         half = self.num_relations // 2
         return relation + half if relation < half else relation - half
 
-    def all_triples(self):
-        for name in SPLITS:
-            yield from self.splits[name]
+    def all_triples(self) -> Triples:
+        return Triples._own(np.concatenate([self.splits[name].array for name in SPLITS]))
 
 
 def _read_triple_file(path: Path) -> list[tuple[str, str, str]]:
@@ -198,20 +291,16 @@ def load_dataset(directory) -> KnowledgeGraph:
                 "%d of %d relations missing from relation2text.tsv; using identifiers as text",
                 missing, len(relation_ids))
 
-    splits: dict[str, list[Triple]] = {}
+    splits: dict[str, Triples] = {}
     for name, rows in raw_splits.items():
-        seen: set[Triple] = set()
-        triples: list[Triple] = []
-        for h, r, t in rows:
-            triple = Triple(ent_index[h], rel_index[r], ent_index[t])
-            if triple in seen:
-                continue
-            seen.add(triple)
-            triples.append(triple)
-        if len(triples) != len(rows):
+        unique = dict.fromkeys(rows)  # first occurrences, in file order
+        if len(unique) != len(rows):
             logger.warning("%s: dropped %d duplicate triples",
-                           name, len(rows) - len(triples))
-        splits[name] = triples
+                           name, len(rows) - len(unique))
+        indices = ((ent_index[h], rel_index[r], ent_index[t]) for h, r, t in unique)
+        splits[name] = Triples._own(np.fromiter(
+            itertools.chain.from_iterable(indices), dtype=np.int64,
+            count=3 * len(unique)).reshape(-1, 3))
 
     return KnowledgeGraph(
         entity_ids=entity_ids,
@@ -240,10 +329,11 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
     relation_texts = kg.relation_texts + [INVERSE_TEXT_PREFIX + t for t in kg.relation_texts]
     relation_is_inverse = [False] * n_rel + [True] * n_rel
     relation_base = list(range(n_rel)) + list(range(n_rel))
-    splits = {
-        name: triples + [Triple(t.tail, t.relation + n_rel, t.head) for t in triples]
-        for name, triples in kg.splits.items()
-    }
+    splits = {}
+    for name, triples in kg.splits.items():
+        heads, relations, tails = triples.array.T
+        mirrored = np.stack([tails, relations + n_rel, heads], axis=1)
+        splits[name] = Triples._own(np.concatenate([triples.array, mirrored]))
     return KnowledgeGraph(
         entity_ids=kg.entity_ids,
         entity_names=kg.entity_names,
@@ -372,33 +462,32 @@ class FilterIndex:
         return zip((self._keys // r).tolist(), (self._keys % r).tolist())
 
 
-def _filter_triples(kg: KnowledgeGraph, splits: tuple[str, ...]):
-    """The triples whose tails complete their (head, relation) key: every
-    triple of the given splits of an augmented graph."""
+def _filter_splits(kg: KnowledgeGraph, splits: tuple[str, ...]) -> list[Triples]:
+    """The splits whose triples complete their (head, relation) keys: the given
+    splits of an augmented graph."""
     if not kg.augmented:
         raise ValueError("filter index requires an augmented graph")
-    return itertools.chain.from_iterable(kg.splits[name] for name in splits)
-
-
-def triple_columns(triples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Heads, relations and tails of a sequence of triples, as int64 arrays."""
-    return tuple(np.fromiter(map(attrgetter(f), triples), dtype=np.int64,
-                             count=len(triples))
-                 for f in ("head", "relation", "tail"))
+    return [kg.splits[name] for name in splits]
 
 
 def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> FilterIndex:
     """Index all completions of every (entity, relation) key in the given splits."""
-    columns = triple_columns(list(_filter_triples(kg, splits)))
-    return FilterIndex._from_columns(*columns, kg.num_entities, kg.num_relations, splits)
+    rows = [triples.array for triples in _filter_splits(kg, splits)]
+    heads, relations, tails = np.concatenate(rows or [np.empty((0, 3), np.int64)]).T
+    return FilterIndex._from_columns(heads, relations, tails, kg.num_entities,
+                                     kg.num_relations, splits)
 
 
 def known_completions(kg: KnowledgeGraph, key: tuple[int, int],
                       splits: tuple[str, ...] = SPLITS) -> set[int]:
-    """``build_filter_index(kg, splits)[key]`` without indexing every other key."""
+    """``build_filter_index(kg, splits)[key]`` without indexing every other key:
+    one mask over each split's head and relation columns."""
     head, relation = key
-    return {t.tail for t in _filter_triples(kg, splits)
-            if t.head == head and t.relation == relation}
+    found = set()
+    for triples in _filter_splits(kg, splits):
+        heads, relations, tails = triples.array.T
+        found.update(tails[(heads == head) & (relations == relation)].tolist())
+    return found
 
 
 def resplit_unseen(kg: KnowledgeGraph, ratio: float, seed: int) -> KnowledgeGraph:
@@ -416,19 +505,19 @@ def resplit_unseen(kg: KnowledgeGraph, ratio: float, seed: int) -> KnowledgeGrap
     rng = np.random.default_rng(seed)
     perm = rng.permutation(kg.num_entities)
     k = int(ratio * kg.num_entities)
-    test_entities = set(int(e) for e in perm[:k])
-    valid_entities = set(int(e) for e in perm[k:2 * k])
+    test_entities, valid_entities = perm[:k], perm[k:2 * k]
 
-    new_splits: dict[str, list[Triple]] = {"train": [], "valid": [], "test": []}
+    parts: dict[str, list[np.ndarray]] = {name: [] for name in SPLITS}
     for name in SPLITS:
-        for t in kg.splits[name]:
-            if t.head in test_entities or t.tail in test_entities:
-                new_splits["test"].append(t)
-            elif t.head in valid_entities or t.tail in valid_entities:
-                new_splits["valid"].append(t)
-            else:
-                new_splits["train"].append(t)
-    return replace(kg, splits=new_splits)
+        rows = kg.splits[name].array
+        heads, _, tails = rows.T
+        test = np.isin(heads, test_entities) | np.isin(tails, test_entities)
+        valid = ~test & (np.isin(heads, valid_entities) | np.isin(tails, valid_entities))
+        parts["test"].append(rows[test])
+        parts["valid"].append(rows[valid])
+        parts["train"].append(rows[~(test | valid)])
+    return replace(kg, splits={name: Triples._own(np.concatenate(parts[name]))
+                               for name in SPLITS})
 
 
 def save_catalogs(kg: KnowledgeGraph, path) -> None:
@@ -456,27 +545,32 @@ def save_splits(kg: KnowledgeGraph, directory) -> None:
     """Write the splits back out as a dataset directory (plus text files).
 
     The output is itself loadable by :func:`load_dataset`, which is how resplit
-    results are materialized.
+    results are materialized. Every file is written to a temporary file first
+    and moved into place only after all of them were written, so a failed
+    write leaves a previous dataset in ``directory`` as it was.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+
+    def lines(rows) -> str:
+        return "".join("\t".join(row) + "\n" for row in rows)
+
+    entity_ids = np.array(kg.entity_ids, dtype=object)
+    relation_ids = np.array(kg.relation_ids, dtype=object)
+    files = {}
     for name in SPLITS:
-        with open(directory / f"{name}.tsv", "w", encoding="utf-8") as fh:
-            for t in kg.splits[name]:
-                fh.write(f"{kg.entity_ids[t.head]}\t{kg.relation_ids[t.relation]}"
-                         f"\t{kg.entity_ids[t.tail]}\n")
-    with open(directory / "entity2text.tsv", "w", encoding="utf-8") as fh:
-        for raw, name in zip(kg.entity_ids, kg.entity_names):
-            fh.write(f"{raw}\t{name}\n")
+        heads, relations, tails = kg.splits[name].array.T
+        files[f"{name}.tsv"] = lines(zip(entity_ids[heads], relation_ids[relations],
+                                         entity_ids[tails]))
+    files["entity2text.tsv"] = lines(zip(kg.entity_ids, kg.entity_names))
     if any(kg.entity_descriptions):
-        with open(directory / "entity2textlong.tsv", "w", encoding="utf-8") as fh:
-            for raw, desc in zip(kg.entity_ids, kg.entity_descriptions):
-                if desc:
-                    fh.write(f"{raw}\t{desc}\n")
-    with open(directory / "relation2text.tsv", "w", encoding="utf-8") as fh:
-        n = kg.num_relations // 2 if kg.augmented else kg.num_relations
-        for raw, text in zip(kg.relation_ids[:n], kg.relation_texts[:n]):
-            fh.write(f"{raw}\t{text}\n")
+        files["entity2textlong.tsv"] = lines(
+            (raw, desc) for raw, desc in zip(kg.entity_ids, kg.entity_descriptions) if desc)
+    n = kg.num_relations // 2 if kg.augmented else kg.num_relations
+    files["relation2text.tsv"] = lines(zip(kg.relation_ids[:n], kg.relation_texts[:n]))
+    with ExitStack() as stack:
+        for fname, text in files.items():
+            stack.enter_context(atomic_write(directory / fname, text=True)).write(text)
 
 
 def corpus_texts(kg: KnowledgeGraph):

@@ -75,13 +75,16 @@ def queries_for_split(kg: KnowledgeGraph, split: str) -> list[RankingQuery]:
     would reproduce the same two queries again."""
     if not kg.augmented:
         raise ValueError("evaluation requires an inverse-augmented graph")
-    queries = []
-    for t in kg.splits[split]:
-        if kg.relation_is_inverse[t.relation]:
-            continue
-        queries.append(RankingQuery(t.head, t.relation, gold=t.tail))
-        queries.append(RankingQuery(t.tail, kg.inverse_relation(t.relation), gold=t.head))
-    return queries
+    rows = kg.splits[split].array
+    original = ~np.asarray(kg.relation_is_inverse, dtype=bool)[rows[:, 1]]
+    heads, relations, tails = rows[original].T
+    inverse = np.array([kg.inverse_relation(r) for r in range(kg.num_relations)],
+                       dtype=np.int64)
+    # the tail query of each triple, then its head query
+    entities = np.stack([heads, tails], axis=1).ravel().tolist()
+    query_relations = np.stack([relations, inverse[relations]], axis=1).ravel().tolist()
+    golds = np.stack([tails, heads], axis=1).ravel().tolist()
+    return [RankingQuery(e, r, gold=g) for e, r, g in zip(entities, query_relations, golds)]
 
 
 def precompute_entity_embeddings(encoder: Encoder, cat: TokenizedCatalog,

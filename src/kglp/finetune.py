@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .data import (FilterIndex, KnowledgeGraph, Triple, build_filter_index,
-                   triple_columns)
+from .data import FilterIndex, KnowledgeGraph, Triple, Triples, build_filter_index
 from .encoder import Encoder
 from .layers import clip_global_norm, unit_rows
 from .optim import AdamW, TrainingDiverged, run_epochs
@@ -60,7 +59,7 @@ def build_label_matrix(batch: list[Triple], filter_index: FilterIndex) -> np.nda
     tail is a known completion of another row's (head, relation) key. All n x n
     cells are looked up in one ``FilterIndex.completes`` search.
     """
-    y = filter_index.completes(*triple_columns(batch)).astype(np.int8)
+    y = filter_index.completes(*Triples(batch).array.T).astype(np.int8)
     np.fill_diagonal(y, 1)
     return y
 

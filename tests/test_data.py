@@ -60,6 +60,15 @@ def test_duplicate_triples_are_dropped(tmp_path):
     assert kg.split_sizes()["train"] == 2
 
 
+def test_deduplicated_split_keeps_first_occurrence_order(tmp_path):
+    d = write_dataset(tmp_path / "ds",
+                      {"train": [("A", "r", "C"), ("A", "r", "B"), ("A", "r", "C"),
+                                 ("B", "r", "A"), ("A", "r", "B")]})
+    kg = kglp.load_dataset(d)
+    a, b, c = (kg.entity_index(x) for x in "ABC")
+    assert kg.splits["train"] == [Triple(a, 0, c), Triple(a, 0, b), Triple(b, 0, a)]
+
+
 def test_augment_doubles_relations_and_mirrors_triples(toy_kg, toy_aug):
     assert toy_aug.num_relations == 2 * toy_kg.num_relations
     assert toy_aug.split_sizes() == {"train": 6, "valid": 2, "test": 2}

@@ -79,15 +79,17 @@ def test_failed_report_and_manifest_writes_keep_old_files(tmp_path, monkeypatch)
 
 
 class HalfWriter:
-    """A file whose second write stores half its data, then fails."""
+    """A file whose ``fail_at``-th write (the second by default) stores half its
+    data, then fails."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, fail_at: int = 2):
         self._fh = fh
         self._writes = 0
+        self._fail_at = fail_at
 
     def write(self, data):
         self._writes += 1
-        if self._writes == 2:
+        if self._writes == self._fail_at:
             self._fh.write(data[:len(data) // 2])
             raise OSError("disk full")
         return self._fh.write(data)
@@ -123,3 +125,25 @@ def test_failed_reingest_keeps_old_artifact(tmp_path, monkeypatch, artifact):
     assert main(["ingest", str(new_data), "--out", str(out), "--force"]) == 1
     monkeypatch.undo()
     assert_untouched(out / artifact, old, listing)
+
+
+@pytest.mark.parametrize("artifact", ["train.tsv", "test.tsv", "entity2text.tsv",
+                                      "relation2text.tsv"])
+def test_failed_resplit_keeps_old_dataset(tmp_path, monkeypatch, artifact):
+    out = tmp_path / "resplit"
+    data = make_pair_dataset(tmp_path / "data", n_pairs=30, seed=1)
+    assert main(["resplit-unseen", str(data), "--out", str(out), "--seed", "1"]) == 0
+    old = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    real_open = builtins.open
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        name = Path(file).name
+        writing = "w" in mode and (name == artifact or name.startswith(f".{artifact}."))
+        return HalfWriter(fh, fail_at=1) if writing else fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
+    assert main(["resplit-unseen", str(data), "--out", str(out), "--seed", "2",
+                 "--force"]) == 1
+    monkeypatch.undo()
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == old

@@ -161,6 +161,77 @@ def scalar_joint_loss(scores, diff_sums, labels, alpha, gamma,
     return total / count
 
 
+# List-based copies of the split operations as they were before splits became
+# array-backed ``Triples``; the columnar versions must give the same results.
+
+def reference_augment_inverse(kg):
+    """(relation_ids, relation_texts, relation_is_inverse, relation_base,
+    splits as lists of Triple) of the inverse-augmented graph."""
+    from kglp.data import INVERSE_ID_SUFFIX, INVERSE_TEXT_PREFIX, Triple
+    n_rel = kg.num_relations
+    splits = {
+        name: list(triples) + [Triple(t.tail, t.relation + n_rel, t.head) for t in triples]
+        for name, triples in kg.splits.items()
+    }
+    return (kg.relation_ids + [r + INVERSE_ID_SUFFIX for r in kg.relation_ids],
+            kg.relation_texts + [INVERSE_TEXT_PREFIX + t for t in kg.relation_texts],
+            [False] * n_rel + [True] * n_rel,
+            list(range(n_rel)) + list(range(n_rel)),
+            splits)
+
+
+def reference_resplit_unseen(kg, ratio: float, seed: int) -> dict:
+    """The resplit's splits, as lists of Triple."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(kg.num_entities)
+    k = int(ratio * kg.num_entities)
+    test_entities = set(int(e) for e in perm[:k])
+    valid_entities = set(int(e) for e in perm[k:2 * k])
+    new_splits = {"train": [], "valid": [], "test": []}
+    for name in ("train", "valid", "test"):
+        for t in kg.splits[name]:
+            if t.head in test_entities or t.tail in test_entities:
+                new_splits["test"].append(t)
+            elif t.head in valid_entities or t.tail in valid_entities:
+                new_splits["valid"].append(t)
+            else:
+                new_splits["train"].append(t)
+    return new_splits
+
+
+def reference_queries_for_split(kg, split: str) -> list:
+    from kglp.evaluate import RankingQuery
+    queries = []
+    for t in kg.splits[split]:
+        if kg.relation_is_inverse[t.relation]:
+            continue
+        queries.append(RankingQuery(t.head, t.relation, gold=t.tail))
+        queries.append(RankingQuery(t.tail, kg.inverse_relation(t.relation), gold=t.head))
+    return queries
+
+
+def reference_save_splits(kg, directory) -> None:
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name in ("train", "valid", "test"):
+        with open(directory / f"{name}.tsv", "w", encoding="utf-8") as fh:
+            for t in kg.splits[name]:
+                fh.write(f"{kg.entity_ids[t.head]}\t{kg.relation_ids[t.relation]}"
+                         f"\t{kg.entity_ids[t.tail]}\n")
+    with open(directory / "entity2text.tsv", "w", encoding="utf-8") as fh:
+        for raw, name in zip(kg.entity_ids, kg.entity_names):
+            fh.write(f"{raw}\t{name}\n")
+    if any(kg.entity_descriptions):
+        with open(directory / "entity2textlong.tsv", "w", encoding="utf-8") as fh:
+            for raw, desc in zip(kg.entity_ids, kg.entity_descriptions):
+                if desc:
+                    fh.write(f"{raw}\t{desc}\n")
+    with open(directory / "relation2text.tsv", "w", encoding="utf-8") as fh:
+        n = kg.num_relations // 2 if kg.augmented else kg.num_relations
+        for raw, text in zip(kg.relation_ids[:n], kg.relation_texts[:n]):
+            fh.write(f"{raw}\t{text}\n")
+
+
 def run_pipeline(kg, vocab, seed: int, pretrain_epochs: int, finetune_epochs: int,
                  *, hidden_size=64, num_layers=2, ff_size=128, max_len=32,
                  batch_size=16, pretrain_lr=(1e-3, 5e-4), finetune_lr=(1e-3, 5e-4),
