@@ -130,6 +130,26 @@ def _load_run_dir(out_dir: Path):
     return kg, vocab, meta
 
 
+def _load_run_checkpoint(args, out_dir: Path, stage: str, vocab, rc, hint: str = ""):
+    """Load ``--checkpoint`` (default ``<out>/<stage>.npz``, which ``kglp <stage>``
+    writes) and refuse one trained on another vocabulary than ``vocab.txt``.
+    ``rc.encoder`` takes the checkpoint's settings, so the manifest records them.
+    Returns the checkpoint path and the encoder."""
+    from .config import EncoderSettings
+    from .encoder import load_checkpoint
+    path = Path(args.checkpoint) if args.checkpoint else out_dir / f"{stage}.npz"
+    if not path.is_file():
+        raise ArtifactError(
+            f"checkpoint {path} not found; run `kglp {stage} --out {out_dir}` first{hint}")
+    encoder = load_checkpoint(path)
+    if encoder.config.vocab_size != vocab.size:
+        raise ArtifactError(
+            f"checkpoint {path} has vocab size {encoder.config.vocab_size}, but vocab.txt "
+            f"has {vocab.size}; re-run the stages after `kglp ingest` with --force")
+    rc.encoder = EncoderSettings.of(encoder.config)
+    return path, encoder
+
+
 def _build_config(args, meta=None):
     from .config import load_run_config
     overrides = _collect_overrides(args)
@@ -216,7 +236,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    from .encoder import Encoder, load_checkpoint, save_checkpoint
+    from .encoder import Encoder, save_checkpoint
     from .evaluate import precompute_entity_embeddings
     from .finetune import run_finetune
     from .text import TokenizedCatalog
@@ -234,17 +254,9 @@ def cmd_finetune(args) -> int:
     if args.checkpoint == "none":
         encoder = Encoder(rc.encoder.build(vocab.size), seed=rc.seed)
     else:
-        ckpt_in = Path(args.checkpoint) if args.checkpoint else out_dir / "pretrain.npz"
-        if not ckpt_in.is_file():
-            raise ArtifactError(
-                f"checkpoint {ckpt_in} not found; run `kglp pretrain --out {out_dir}` "
-                f"first or pass --checkpoint none for a random initialization")
-        encoder = load_checkpoint(ckpt_in)
-        if encoder.config.vocab_size != vocab.size:
-            raise ArtifactError(
-                f"checkpoint vocab size {encoder.config.vocab_size} does not match "
-                f"vocab.txt ({vocab.size}); re-run ingest/pretrain together")
-        inputs["checkpoint"] = ckpt_in
+        inputs["checkpoint"], encoder = _load_run_checkpoint(
+            args, out_dir, "pretrain", vocab, rc,
+            " or pass --checkpoint none for a random initialization")
 
     history = run_finetune(kg, vocab, encoder, rc.finetune,
                            log_path=out_dir / "finetune_log.jsonl")
@@ -264,20 +276,15 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .encoder import load_checkpoint
     from .evaluate import evaluate
 
     started = time.time()
     out_dir = Path(args.out)
     kg, vocab, meta = _load_run_dir(out_dir)
     rc = _build_config(args, meta)
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else out_dir / "finetune.npz"
-    if not ckpt_path.is_file():
-        raise ArtifactError(
-            f"checkpoint {ckpt_path} not found; run `kglp finetune --out {out_dir}` first")
+    ckpt_path, encoder = _load_run_checkpoint(args, out_dir, "finetune", vocab, rc)
     report_path = out_dir / f"report_{args.split}.json"
     _refuse_overwrite([report_path], args.force)
-    encoder = load_checkpoint(ckpt_path)
 
     report = evaluate(kg, encoder, args.split, vocab=vocab,
                       pair_max_len=rc.finetune.pair_max_len,
@@ -318,7 +325,6 @@ def cmd_resplit_unseen(args) -> int:
 def cmd_predict(args) -> int:
     import numpy as np
     from .data import known_completions
-    from .encoder import load_checkpoint
     from .evaluate import query_scores, table_unit_rows
     from .text import TokenizedCatalog, assemble_pair, assemble_pair_tokens, tokenize
 
@@ -326,10 +332,7 @@ def cmd_predict(args) -> int:
     kg, vocab, meta = _load_run_dir(out_dir)
     rc = _build_config(args, meta)
     pair_max_len = rc.finetune.pair_max_len
-    ckpt_path = Path(args.checkpoint) if args.checkpoint else out_dir / "finetune.npz"
-    if not ckpt_path.is_file():
-        raise ArtifactError(
-            f"checkpoint {ckpt_path} not found; run `kglp finetune --out {out_dir}` first")
+    ckpt_path, encoder = _load_run_checkpoint(args, out_dir, "finetune", vocab, rc)
     table_path = out_dir / "entity_table.npz"
     if not table_path.is_file():
         raise ArtifactError(
@@ -341,7 +344,10 @@ def cmd_predict(args) -> int:
         raise ArtifactError(
             f"entity table {table_path} was not built from checkpoint {ckpt_path}; "
             f"run `kglp finetune --out {out_dir} --force` to rebuild both together")
-    encoder = load_checkpoint(ckpt_path)
+    if table.shape[0] != kg.num_entities:
+        raise ArtifactError(
+            f"entity table {table_path} has {table.shape[0]} rows, but the catalog has "
+            f"{kg.num_entities} entities; run `kglp finetune --out {out_dir} --force`")
 
     if not kg.has_relation(args.relation):
         raise ArtifactError(

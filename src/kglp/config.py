@@ -35,6 +35,11 @@ class EncoderSettings:
     def build(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(vocab_size=vocab_size, **asdict(self))
 
+    @classmethod
+    def of(cls, config: EncoderConfig) -> EncoderSettings:
+        """The settings a built config (such as a loaded checkpoint's) was made with."""
+        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
+
 
 @dataclass
 class DatasetSettings:
@@ -123,6 +128,8 @@ _SECTIONS = {
     "finetune": FinetuneConfig,
 }
 _TOP_LEVEL = {"seed": int}
+#: trainer-config fields that the top-level ``seed`` sets; not keys of their own
+_SEEDED = ("pretrain.seed", "finetune.seed")
 
 
 def apply_values(config: RunConfig, values: dict[str, object]) -> None:
@@ -131,6 +138,8 @@ def apply_values(config: RunConfig, values: dict[str, object]) -> None:
         if key in _TOP_LEVEL:
             setattr(config, key, _coerce(raw, _TOP_LEVEL[key], key))
             continue
+        if key in _SEEDED:
+            raise ConfigError(f"{key} is not a config key; set the run's seed with `seed`")
         section_name, dot, attr = key.partition(".")
         if not dot or section_name not in _SECTIONS:
             raise ConfigError(f"unknown config key: {key}")

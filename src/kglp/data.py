@@ -13,9 +13,9 @@ iteration yield ``Triple`` objects; bulk work (inverse augmentation, filter
 builds, resplits, query lists) reads the array's columns. Code that appended to
 or sorted a split takes a list first: ``list(kg.splits[name])``.
 
-The filter index of known-true completions is array-backed (CSR): sorted packed
-keys, offsets into one array of every key's sorted tails, and the sorted packed
-(key, tail) codes; its set-valued lookups return copies (see ``FilterIndex``).
+The filter index of known-true completions is one sorted array of distinct
+packed (head, relation, tail) codes, in which each key's tails are one run; its
+lookups return copies (see ``FilterIndex``).
 """
 
 from __future__ import annotations
@@ -76,6 +76,14 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     array = np.ascontiguousarray(array, dtype=np.int64)
     array.flags.writeable = False
     return array
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array, in order: a neighbour compare,
+    many times cheaper than ``np.unique``, which sorts again."""
+    fresh = np.ones(ascending.size, dtype=bool)
+    np.not_equal(ascending[1:], ascending[:-1], out=fresh[1:])
+    return ascending[fresh]
 
 
 class Triples(Sequence):
@@ -353,20 +361,21 @@ class FilterIndex:
     Built over the requested splits of an augmented graph, so tail queries (h, r)
     and head queries (t, r_rev) are both covered by one tail-side pass.
 
-    The index is four read-only int64 arrays (a CSR layout) rather than Python
-    sets: ``_codes`` holds the sorted unique packed completions
-    ``(head * R + relation) * E + tail``; ``_keys`` the sorted unique packed keys
-    ``head * R + relation``; ``_offsets`` the start of each key's run in
-    ``_tails``, which holds every key's tails in ascending order. ``E`` and ``R``
-    are the catalog sizes, so the packed codes must fit in int64. A lookup is a
-    binary search on ``_keys``.
+    The index is one sorted read-only int64 array rather than Python sets:
+    ``_codes`` holds the distinct packed completions
+    ``(head * R + relation) * E + tail``, where ``E`` and ``R`` are the catalog
+    sizes, so the packed codes must fit in int64. The completions of a key
+    ``k = head * R + relation`` are the run of codes in ``[k * E, (k + 1) * E)``;
+    a lookup is two binary searches for its ends. The keys themselves are
+    derived from the codes when ``len`` or ``keys()`` asks for them.
 
-    ``index[key]`` returns a fresh ``set``, a copy that the caller may change
-    freely; unknown keys give an empty set. ``tails(key)`` returns the read-only
-    array slice without copying, for the ranking hot path. ``keys()`` yields
-    ``(entity, relation)`` tuples in ascending packed order.
+    ``tails(key)`` returns a fresh read-only int64 array of the key's tails in
+    ascending order, for the ranking hot path. ``index[key]`` returns a fresh
+    ``set``, a copy that the caller may change freely; unknown keys give an
+    empty set. ``keys()`` yields ``(entity, relation)`` tuples in ascending
+    packed order.
 
-    ``FilterIndex(mapping, splits)`` builds the same arrays from a dict of
+    ``FilterIndex(mapping, splits)`` builds the same array from a dict of
     (entity, relation) keys to iterables of tails, with the catalog sizes taken
     as one past the largest index present; keys with no tails are dropped.
     """
@@ -401,37 +410,25 @@ class FilterIndex:
         self._num_entities, self._num_relations = num_entities, num_relations
         codes = (heads * num_relations + relations) * num_entities + tails
         codes.sort()
-        fresh = np.ones(codes.size, dtype=bool)
-        np.not_equal(codes[1:], codes[:-1], out=fresh[1:])
-        codes = codes[fresh]
-        keys_of_codes = codes // max(num_entities, 1)
-        starts = np.ones(codes.size, dtype=bool)
-        np.not_equal(keys_of_codes[1:], keys_of_codes[:-1], out=starts[1:])
-        starts = np.flatnonzero(starts)
-        self._codes = codes
-        self._tails = codes - keys_of_codes * num_entities
-        self._keys = keys_of_codes[starts]
-        self._offsets = np.append(starts, codes.size)
-        for array in (self._codes, self._tails, self._keys, self._offsets):
-            array.flags.writeable = False
+        self._codes = _distinct(codes)
+        self._codes.flags.writeable = False
 
-    def _slot(self, key: tuple[int, int]) -> int:
-        """Position of ``key`` in ``_keys``, or -1 when it has no completions."""
-        head, relation = key
-        if not (0 <= head < self._num_entities and 0 <= relation < self._num_relations):
-            return -1
-        packed = int(head) * self._num_relations + int(relation)
-        slot = int(np.searchsorted(self._keys, packed))
-        if slot < self._keys.size and self._keys[slot] == packed:
-            return slot
-        return -1
+    def _key_codes(self) -> np.ndarray:
+        """Ascending distinct packed keys ``head * R + relation`` of the codes."""
+        return _distinct(self._codes // max(self._num_entities, 1))
 
     def tails(self, key: tuple[int, int]) -> np.ndarray:
-        """Ascending read-only int64 array of the known completions of ``key``."""
-        slot = self._slot(key)
-        if slot < 0:
-            return self._tails[:0]
-        return self._tails[self._offsets[slot]:self._offsets[slot + 1]]
+        """Fresh ascending read-only int64 array of the known completions of ``key``."""
+        head, relation = key
+        e = self._num_entities
+        if not (0 <= head < e and 0 <= relation < self._num_relations):
+            return self._codes[:0]
+        first = (int(head) * self._num_relations + int(relation)) * e
+        start = self._codes.searchsorted(first)
+        stop = self._codes.searchsorted(first + e)
+        tails = self._codes[start:stop] - first
+        tails.flags.writeable = False
+        return tails
 
     def completes(self, heads: np.ndarray, relations: np.ndarray,
                   tails: np.ndarray) -> np.ndarray:
@@ -452,14 +449,15 @@ class FilterIndex:
         return set(self.tails(key).tolist())
 
     def __contains__(self, key: tuple[int, int]) -> bool:
-        return self._slot(key) >= 0
+        return self.tails(key).size > 0
 
     def __len__(self) -> int:
-        return self._keys.size
+        return self._key_codes().size
 
     def keys(self):
+        keys = self._key_codes()
         r = max(self._num_relations, 1)
-        return zip((self._keys // r).tolist(), (self._keys % r).tolist())
+        return zip((keys // r).tolist(), (keys % r).tolist())
 
 
 def _filter_splits(kg: KnowledgeGraph, splits: tuple[str, ...]) -> list[Triples]:

@@ -76,7 +76,8 @@ def test_config_out_of_range_rejected(cli_dataset, tmp_path, capsys):
                        ("finetune.label_splits", "trian"),
                        ("pretrain.clip_norm", "-1"), ("finetune.clip_norm", "-0.5"),
                        ("pretrain.weight_decay", "-0.01"),
-                       ("finetune.weight_decay", "-0.01")]:
+                       ("finetune.weight_decay", "-0.01"),
+                       ("pretrain.seed", "5"), ("finetune.seed", "5")]:
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_run_config(None, {key: value})
         assert main(["ingest", str(cli_dataset), "--out", str(tmp_path),
@@ -405,3 +406,51 @@ def test_failed_entity_table_write_keeps_old_table(cli_run, tmp_path, monkeypatc
     assert "disk full" in capsys.readouterr().err
     assert table.read_bytes() == old
     assert sorted(os.listdir(run)) == listing
+
+
+def test_stale_checkpoint_after_reingest_exits_2(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    smaller = make_pair_dataset(tmp_path / "smaller", n_pairs=10, seed=4)
+    assert main(["ingest", str(smaller), "--out", str(run), "--force"]) == 0
+    capsys.readouterr()
+    assert main(["evaluate", "--out", str(run), "--split", "test", "--force"]) == 2
+    captured = capsys.readouterr()
+    assert "vocab" in captured.err and "finetune.npz" in captured.err
+    assert main(["predict", "--out", str(run), "--head", "a001",
+                 "--relation", "linksto", "-k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "vocab" in captured.err and "finetune.npz" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_refuses_table_of_another_catalog(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    with np.load(run / "entity_table.npz") as data:
+        table, sha = data["table"], data["checkpoint_sha256"]
+    np.savez(run / "entity_table.npz", table=np.vstack([table, table[:1]]),
+             checkpoint_sha256=sha)
+    assert main(["predict", "--out", str(run), "--head", "a001",
+                 "--relation", "linksto", "-k", "10000"]) == 2
+    captured = capsys.readouterr()
+    assert f"{len(table) + 1} rows" in captured.err and "kglp finetune" in captured.err
+    assert captured.out == ""
+
+
+def test_manifests_record_the_loaded_checkpoint_encoder(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    wider = ["--set", "encoder.hidden_size=64"]
+    assert main(["evaluate", "--out", str(run), "--split", "test", "--force",
+                 *wider]) == 0
+    manifest = json.loads((run / "manifest.evaluate.test.json").read_text())
+    assert manifest["config"]["encoder"]["hidden_size"] == 32
+    assert main(["finetune", "--out", str(run), "--seed", "3", "--force",
+                 "--set", "finetune.epochs=1", "--set", "finetune.batch_size=16",
+                 *SMALL, *wider]) == 0
+    manifest = json.loads((run / "manifest.finetune.json").read_text())
+    assert manifest["config"]["encoder"] == {
+        "hidden_size": 32, "num_layers": 1, "num_heads": 4, "ff_size": 48,
+        "max_len": 32, "dropout": 0.1}
+    capsys.readouterr()

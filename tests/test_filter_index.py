@@ -129,3 +129,52 @@ def test_overflowing_catalog_is_refused():
         FilterIndex({(2 ** 40, 0): {1}}, ("train",))
     with pytest.raises(ValueError, match="overflow"):
         FilterIndex({(0, 2 ** 62): {1}}, ("train",))
+
+
+# A catalog of E = 4 entities and R = 2 relations packs its codes into
+# [0, E * R * E) = [0, 32). (0, 0) holds the first code and ends at tail E - 1,
+# right before (0, 1) starts at tail 0; (3, 1) is the last entity with the last
+# relation and holds the last code. A probe with relation == R lands on the run
+# of the next head: (0, 2) packs like (1, 0). Far-out probes would overflow
+# the int64 codes if they were packed.
+EDGES = {(0, 0): {0, 3}, (0, 1): {0}, (1, 0): {2}, (3, 1): {0, 3}}
+EDGE_PROBES = [(h, r) for h in range(-1, 6) for r in range(-1, 4)] + [
+    (2 ** 62, 0), (0, 2 ** 62)]
+
+
+def edge_indices():
+    heads, relations, tails = np.array(
+        [(h, r, t) for (h, r), ts in EDGES.items() for t in ts]).T
+    return [FilterIndex(EDGES, ("train",)),
+            FilterIndex._from_columns(heads, relations, tails, 4, 2, ("train",))]
+
+
+def test_runs_at_the_catalog_edges():
+    for index in edge_indices():
+        assert index._codes[[0, -1]].tolist() == [0, 4 * 2 * 4 - 1]
+        assert index.tails((0, 0)).tolist() == [0, 3]
+        assert index.tails((0, 1)).tolist() == [0]
+        assert index.tails((3, 1)).tolist() == [0, 3]
+        assert list(index.keys()) == [(0, 0), (0, 1), (1, 0), (3, 1)]
+        assert_matches(index, EDGES, EDGE_PROBES)
+        heads, relations = np.array(EDGE_PROBES).T
+        candidates = np.arange(-1, 6)
+        want = [[t in EDGES.get(key, ()) for t in candidates.tolist()]
+                for key in EDGE_PROBES]
+        assert index.completes(heads, relations, candidates).tolist() == want
+    # the same edges from a graph: relation 1 is the inverse of relation 0
+    kg = make_graph(4, 1, {"train": [(0, 0, 0), (0, 0, 3), (3, 0, 3)]})
+    index = build_filter_index(kg)
+    assert index._codes[[0, -1]].tolist() == [0, 4 * 2 * 4 - 1]
+    assert index.tails((0, 1)).tolist() == [0]
+    assert_matches(index, oracle(kg, SPLITS), EDGE_PROBES)
+
+
+def test_numpy_integer_keys():
+    for index in edge_indices():
+        for head, relation in EDGE_PROBES:
+            key = (np.int64(head), np.int64(relation))
+            want = EDGES.get((head, relation), set())
+            assert (key in index) == bool(want)
+            assert index[key] == want
+            assert index.tails(key).tolist() == sorted(want)
