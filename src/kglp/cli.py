@@ -12,21 +12,33 @@ Every producing command writes a manifest (config snapshot, sha256 of inputs
 and outputs, metrics, elapsed seconds) next to its artifacts. Exit codes:
 0 success, 1 runtime failure, 2 usage/config error.
 
-Heavy imports happen inside the command functions so ``--threads`` can cap the
-BLAS pool before numpy loads.
+``--threads N`` caps the BLAS/OpenMP pools through threadpoolctl (the ``perf``
+extra) while the command runs; without threadpoolctl it is refused with exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
+from .config import ConfigError, EncoderSettings, load_run_config, parse_config_file
+from .data import (DatasetError, augment_inverse, dataset_statistics, known_completions,
+                   load_dataset, resplit_unseen, save_catalogs, save_splits)
+from .encoder import CheckpointError, Encoder, load_checkpoint, save_checkpoint
+from .evaluate import evaluate, precompute_entity_embeddings, query_scores, table_unit_rows
 from .files import atomic_write
+from .finetune import run_finetune
+from .optim import TrainingDiverged
+from .pretrain import run_pretraining
+from .text import (TokenizedCatalog, Vocabulary, assemble_pair, assemble_pair_tokens,
+                   build_vocab, tokenize)
 
 
 class ArtifactError(Exception):
@@ -35,33 +47,31 @@ class ArtifactError(Exception):
 
 # --------------------------------------------------------------------- helpers
 
-def _apply_threads(threads: int):
-    """Cap the BLAS pool. Env vars cover fresh interpreters; threadpoolctl
-    (when available) also caps pools that numpy already initialized."""
-    if not threads or threads <= 0:
-        return None
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
+def _thread_limit(threads: int):
+    """A context that caps the BLAS/OpenMP pools at ``threads`` while entered
+    (0 leaves them as they are). Raises ConfigError without threadpoolctl: numpy
+    has started its pools by now, so only threadpoolctl can still resize them."""
+    if threads <= 0:
+        return contextlib.nullcontext()
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return None
+        raise ConfigError(
+            f"--threads {threads} needs threadpoolctl (install kglp[perf]); without "
+            f"it, set OPENBLAS_NUM_THREADS={threads} and OMP_NUM_THREADS={threads} "
+            f"before starting kglp") from None
     return threadpool_limits(limits=threads)
 
 
-def _parse_set_overrides(pairs) -> dict:
+def _collect_overrides(args) -> dict:
+    """Config overrides from ``--set key=value`` (repeatable) and ``--seed``."""
     overrides = {}
-    for pair in pairs or []:
+    for pair in args.set or []:
         key, sep, value = pair.partition("=")
         if not sep:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         overrides[key.strip()] = value.strip()
-    return overrides
-
-
-def _collect_overrides(args) -> dict:
-    overrides = _parse_set_overrides(getattr(args, "set", None))
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         overrides["seed"] = args.seed
     return overrides
 
@@ -110,11 +120,14 @@ def _dataset_input_files(dataset_dir: Path) -> dict:
     return files
 
 
-def _load_run_dir(out_dir: Path):
-    """Rebuild (kg augmented, vocab, dataset meta) from an ingested run directory."""
-    from .data import augment_inverse, load_dataset
-    from .text import Vocabulary
+def _load_run(args):
+    """Read an ingested run directory: (out_dir, augmented kg, vocab, run config).
 
+    The dataset directory, the profile name and ``vocab.min_freq`` come from
+    ``dataset.json``. A ``vocab.min_freq`` from ``--set`` or ``--config`` that
+    differs from it is refused: ``vocab.txt`` was built with the ingest value.
+    """
+    out_dir = Path(args.out)
     dataset_meta_path = out_dir / "dataset.json"
     if not dataset_meta_path.is_file():
         raise ArtifactError(
@@ -125,9 +138,21 @@ def _load_run_dir(out_dir: Path):
     if not vocab_path.is_file():
         raise ArtifactError(
             f"{out_dir} has no vocab.txt; run `kglp ingest` first")
+
+    overrides = _collect_overrides(args)
+    overrides.setdefault("dataset.name", meta.get("name", ""))
+    rc = load_run_config(args.config, overrides, meta["dir"])
+    ingested = meta.get("min_freq", 1)
+    explicit = {**(parse_config_file(args.config) if args.config else {}), **overrides}
+    if "vocab.min_freq" in explicit and rc.vocab.min_freq != ingested:
+        raise ConfigError(
+            f"vocab.min_freq = {rc.vocab.min_freq}, but {out_dir} was ingested with "
+            f"vocab.min_freq = {ingested}; to change it, re-ingest with "
+            f"`kglp ingest --force` and re-run the stages after it")
+    rc.vocab.min_freq = ingested
+
     kg = augment_inverse(load_dataset(meta["dir"]))
-    vocab = Vocabulary.load(vocab_path)
-    return kg, vocab, meta
+    return out_dir, kg, Vocabulary.load(vocab_path), rc
 
 
 def _load_run_checkpoint(args, out_dir: Path, stage: str, vocab, rc, hint: str = ""):
@@ -135,8 +160,6 @@ def _load_run_checkpoint(args, out_dir: Path, stage: str, vocab, rc, hint: str =
     writes) and refuse one trained on another vocabulary than ``vocab.txt``.
     ``rc.encoder`` takes the checkpoint's settings, so the manifest records them.
     Returns the checkpoint path and the encoder."""
-    from .config import EncoderSettings
-    from .encoder import load_checkpoint
     path = Path(args.checkpoint) if args.checkpoint else out_dir / f"{stage}.npz"
     if not path.is_file():
         raise ArtifactError(
@@ -150,29 +173,13 @@ def _load_run_checkpoint(args, out_dir: Path, stage: str, vocab, rc, hint: str =
     return path, encoder
 
 
-def _build_config(args, meta=None):
-    from .config import load_run_config
-    overrides = _collect_overrides(args)
-    if meta is not None:
-        overrides.setdefault("dataset.name", meta.get("name", ""))
-        overrides.setdefault("vocab.min_freq", meta.get("min_freq", 1))
-        dataset_dir = meta.get("dir")
-    else:
-        dataset_dir = getattr(args, "dataset_dir", None)
-    return load_run_config(getattr(args, "config", None), overrides, dataset_dir)
-
-
 # -------------------------------------------------------------------- commands
 
 def cmd_ingest(args) -> int:
-    from .data import (augment_inverse, dataset_statistics, load_dataset,
-                       save_catalogs)
-    from .text import build_vocab
-
     started = time.time()
     dataset_dir = Path(args.dataset_dir)
     out_dir = Path(args.out)
-    rc = _build_config(args)
+    rc = load_run_config(args.config, _collect_overrides(args), dataset_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = [out_dir / p for p in
                  ("catalog.json", "vocab.txt", "stats.json", "dataset.json")]
@@ -208,13 +215,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    from .encoder import Encoder, save_checkpoint
-    from .pretrain import run_pretraining
-
     started = time.time()
-    out_dir = Path(args.out)
-    kg, vocab, meta = _load_run_dir(out_dir)
-    rc = _build_config(args, meta)
+    out_dir, kg, vocab, rc = _load_run(args)
     if args.mlm_only:
         rc.pretrain.mlm_only = True
     ckpt_path = out_dir / "pretrain.npz"
@@ -236,16 +238,8 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    from .encoder import Encoder, save_checkpoint
-    from .evaluate import precompute_entity_embeddings
-    from .finetune import run_finetune
-    from .text import TokenizedCatalog
-    import numpy as np
-
     started = time.time()
-    out_dir = Path(args.out)
-    kg, vocab, meta = _load_run_dir(out_dir)
-    rc = _build_config(args, meta)
+    out_dir, kg, vocab, rc = _load_run(args)
     ckpt_out = out_dir / "finetune.npz"
     table_out = out_dir / "entity_table.npz"
     _refuse_overwrite([ckpt_out, table_out], args.force)
@@ -276,12 +270,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    from .evaluate import evaluate
-
     started = time.time()
-    out_dir = Path(args.out)
-    kg, vocab, meta = _load_run_dir(out_dir)
-    rc = _build_config(args, meta)
+    out_dir, kg, vocab, rc = _load_run(args)
     ckpt_path, encoder = _load_run_checkpoint(args, out_dir, "finetune", vocab, rc)
     report_path = out_dir / f"report_{args.split}.json"
     _refuse_overwrite([report_path], args.force)
@@ -305,8 +295,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_resplit_unseen(args) -> int:
-    from .data import dataset_statistics, load_dataset, resplit_unseen, save_splits
-
     dataset_dir = Path(args.dataset_dir)
     out_dir = Path(args.out)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
@@ -323,14 +311,7 @@ def cmd_resplit_unseen(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import numpy as np
-    from .data import known_completions
-    from .evaluate import query_scores, table_unit_rows
-    from .text import TokenizedCatalog, assemble_pair, assemble_pair_tokens, tokenize
-
-    out_dir = Path(args.out)
-    kg, vocab, meta = _load_run_dir(out_dir)
-    rc = _build_config(args, meta)
+    out_dir, kg, vocab, rc = _load_run(args)
     pair_max_len = rc.finetune.pair_max_len
     ckpt_path, encoder = _load_run_checkpoint(args, out_dir, "finetune", vocab, rc)
     table_path = out_dir / "entity_table.npz"
@@ -447,22 +428,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    limiter = _apply_threads(getattr(args, "threads", 0))
-    from .config import ConfigError
-    from .data import DatasetError
-    from .encoder import CheckpointError
-    from .pretrain import TrainingDiverged
     try:
-        return args.func(args) or 0
+        with _thread_limit(args.threads):
+            return args.func(args) or 0
     except (ConfigError, DatasetError, ArtifactError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingDiverged, CheckpointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if limiter is not None:
-            limiter.unregister()
 
 
 if __name__ == "__main__":

@@ -128,8 +128,13 @@ _SECTIONS = {
     "finetune": FinetuneConfig,
 }
 _TOP_LEVEL = {"seed": int}
-#: trainer-config fields that the top-level ``seed`` sets; not keys of their own
-_SEEDED = ("pretrain.seed", "finetune.seed")
+#: settings fields that are not keys of their own, and where their value comes from
+_NOT_KEYS = {
+    "pretrain.seed": "set the run's seed with `seed`",
+    "finetune.seed": "set the run's seed with `seed`",
+    "dataset.dir": "pass the dataset directory as `kglp ingest <dataset_dir>`, "
+                   "and choose the defaults profile with `dataset.name`",
+}
 
 
 def apply_values(config: RunConfig, values: dict[str, object]) -> None:
@@ -138,8 +143,8 @@ def apply_values(config: RunConfig, values: dict[str, object]) -> None:
         if key in _TOP_LEVEL:
             setattr(config, key, _coerce(raw, _TOP_LEVEL[key], key))
             continue
-        if key in _SEEDED:
-            raise ConfigError(f"{key} is not a config key; set the run's seed with `seed`")
+        if key in _NOT_KEYS:
+            raise ConfigError(f"{key} is not a config key; {_NOT_KEYS[key]}")
         section_name, dot, attr = key.partition(".")
         if not dot or section_name not in _SECTIONS:
             raise ConfigError(f"unknown config key: {key}")
@@ -212,11 +217,6 @@ def load_run_config(config_path=None, overrides: dict | None = None,
 
     if dataset_dir is not None:
         config.dataset.dir = str(dataset_dir)
-    if "dataset.dir" in file_values:
-        config.dataset.dir = file_values["dataset.dir"]
-    if "dataset.dir" in overrides:
-        config.dataset.dir = str(overrides["dataset.dir"])
-
     name = (overrides.get("dataset.name") or file_values.get("dataset.name")
             or (Path(config.dataset.dir).name if config.dataset.dir else ""))
     profile_key = normalize_dataset_name(str(name))
@@ -224,10 +224,9 @@ def load_run_config(config_path=None, overrides: dict | None = None,
     profile = DATASET_PROFILES.get(profile_key, {})
 
     apply_values(config, profile)
-    apply_values(config, {k: v for k, v in file_values.items()
-                          if k not in ("dataset.dir", "dataset.name")})
+    apply_values(config, {k: v for k, v in file_values.items() if k != "dataset.name"})
     apply_values(config, {k: v for k, v in overrides.items()
-                          if k not in ("dataset.dir", "dataset.name") and v is not None})
+                          if k != "dataset.name" and v is not None})
 
     config.pretrain.seed = config.seed
     config.finetune.seed = config.seed

@@ -136,13 +136,19 @@ def unit_rows(x):
 
 
 def per_row_nll(logits, targets):
-    """Per-row negative log-likelihood (no gradient), float64."""
-    n = logits.shape[0]
-    if n == 0:
-        return np.zeros(0)
+    """Per-row negative log-likelihood and its gradient w.r.t. ``logits``.
+
+    ``logits`` is (N, V); ``targets`` is (N,) int. Returns (nll, grad): ``nll``
+    is (N,) float64 and ``grad`` is softmax minus one-hot, unscaled, in the
+    logits dtype. This is the one log-softmax of the package.
+    """
+    rows = np.arange(logits.shape[0])
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1))
-    return (logsumexp - shifted[np.arange(n), targets]).astype(np.float64)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    nll = (-log_probs[rows, targets]).astype(np.float64)
+    grad = np.exp(log_probs)
+    grad[rows, targets] -= 1.0
+    return nll, grad
 
 
 def cross_entropy(logits, targets):
@@ -154,15 +160,9 @@ def cross_entropy(logits, targets):
     n = logits.shape[0]
     if n == 0:
         return 0.0, np.zeros_like(logits)
-    m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - logsumexp
-    loss = float(-log_probs[np.arange(n), targets].astype(np.float64).mean())
-    dlogits = np.exp(log_probs)
-    dlogits[np.arange(n), targets] -= 1.0
+    nll, dlogits = per_row_nll(logits, targets)
     dlogits /= n
-    return loss, dlogits
+    return float(nll.mean()), dlogits
 
 
 def scatter_add_rows(table: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -187,8 +187,11 @@ def clip_global_norm(grads: dict, max_norm: float) -> float:
     """Scale all gradients in place so their global L2 norm is <= max_norm.
 
     The sum of squares accumulates in float64 without a float64 copy of any
-    gradient.
+    gradient. A negative ``max_norm`` raises ValueError: it would reverse the
+    gradients.
     """
+    if max_norm < 0:
+        raise ValueError(f"max_norm must be >= 0, got {max_norm}")
     total = 0.0
     for g in grads.values():
         flat = g.reshape(-1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .data import KnowledgeGraph
 from .encoder import Encoder
-from .layers import clip_global_norm, cross_entropy, per_row_nll
+from .layers import clip_global_norm, per_row_nll
 from .optim import AdamW, TrainingDiverged, run_epochs
 from .sampling import PretrainSample, build_pretrain_sample, derive_rng
 from .text import PAD_ID, TokenizedCatalog, Vocabulary, trim_width
@@ -88,25 +88,28 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
         return 0.0, 0.0, (cache, zero, {})
     states = out.token_states[pos_any]
     logits, head_cache = encoder.predict_tokens(states, train=train)
+    # one NLL pass over every target row: the sampler never gives a position
+    # both an item and a token target (``sampling.MLM_REGIONS`` excludes the
+    # masked item), so each row belongs to exactly one of the two terms
     sel1 = pos1[pos_any]
-    sel2 = pos2[pos_any]
-    mim_loss, dlog1 = cross_entropy(logits[sel1], y1[pos1])
-    mlm_loss, dlog2 = cross_entropy(logits[sel2], y2[pos2])
+    nll, dlogits = per_row_nll(logits, np.where(sel1, y1[pos_any], y2[pos_any]))
+    nll1 = nll[sel1]
+    n1 = nll1.size
+    n2 = nll.size - n1
+    mim_loss = float(nll1.mean()) if n1 else 0.0
+    mlm_loss = float(nll[~sel1].mean()) if n2 else 0.0
     if grads is None:
         return mlm_loss, mim_loss, None
 
     # split the item term by the task that produced each sample
     task_losses: dict[str, float] = {}
-    if sel1.any():
-        nll = per_row_nll(logits[sel1], y1[pos1])
+    if n1:
         position_task = np.array([samples[row].task
                                   for row in np.nonzero(pos1)[0]])
         for task in dict.fromkeys(position_task.tolist()):
-            task_losses[task] = float(nll[position_task == task].mean())
+            task_losses[task] = float(nll1[position_task == task].mean())
 
-    dlogits = np.zeros_like(logits)
-    dlogits[sel1] = dlog1
-    dlogits[sel2] = dlog2
+    dlogits /= np.where(sel1, n1, n2).astype(dlogits.dtype)[:, None]
     _, dstates = encoder.head_backward(head_cache, dlogits, grads)
     d_token_states = np.zeros_like(out.token_states)
     d_token_states[pos_any] = dstates

@@ -1,7 +1,13 @@
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# One BLAS/OpenMP thread, as in CI, unless the caller set the variables: the
+# pools read them once, when numpy loads, and pytest has not loaded it yet.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))

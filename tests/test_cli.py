@@ -2,11 +2,14 @@ import json
 import os
 import re
 import shutil
+import sys
+import types
 
 import numpy as np
 import pytest
 
 import kglp
+from kglp import cli
 from kglp.cli import main
 from kglp.config import (ConfigError, load_run_config, normalize_dataset_name,
                          parse_config_file)
@@ -77,7 +80,8 @@ def test_config_out_of_range_rejected(cli_dataset, tmp_path, capsys):
                        ("pretrain.clip_norm", "-1"), ("finetune.clip_norm", "-0.5"),
                        ("pretrain.weight_decay", "-0.01"),
                        ("finetune.weight_decay", "-0.01"),
-                       ("pretrain.seed", "5"), ("finetune.seed", "5")]:
+                       ("pretrain.seed", "5"), ("finetune.seed", "5"),
+                       ("dataset.dir", "/nonexistent/elsewhere")]:
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_run_config(None, {key: value})
         assert main(["ingest", str(cli_dataset), "--out", str(tmp_path),
@@ -162,6 +166,98 @@ def test_threads_is_not_a_config_key(cli_dataset, tmp_path, capsys):
     assert main(["ingest", str(cli_dataset), "--out", str(tmp_path / "o"),
                  "--set", "threads=2"]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+def test_dataset_dir_from_config_file_rejected(cli_dataset, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset.dir = /nonexistent/elsewhere\n")
+    with pytest.raises(ConfigError, match="dataset_dir"):
+        load_run_config(cfg)
+    out = tmp_path / "o"
+    assert main(["ingest", str(cli_dataset), "--out", str(out),
+                 "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "dataset.dir" in err and "dataset.name" in err
+    assert not out.exists()
+
+
+def test_min_freq_that_differs_from_ingest_exits_2(cli_run, tmp_path, capsys):
+    # cli_run was ingested with vocab.min_freq = 1
+    predict = ["predict", "--out", str(cli_run), "--head", "a001",
+               "--relation", "linksto", "-k", "1"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vocab.min_freq = 5\n")
+    for extra in (["--set", "vocab.min_freq=5"], ["--config", str(cfg)]):
+        assert main([*predict, *extra]) == 2
+        err = capsys.readouterr().err
+        assert "vocab.min_freq" in err and "kglp ingest --force" in err
+    assert main(["pretrain", "--out", str(cli_run), "--force",
+                 "--set", "vocab.min_freq=5", *SMALL]) == 2
+    assert "kglp ingest --force" in capsys.readouterr().err
+    # the ingest value itself is accepted
+    assert main([*predict, "--set", "vocab.min_freq=1"]) == 0
+
+
+def _fake_threadpoolctl(monkeypatch):
+    """Install a stand-in ``threadpoolctl``; returns (every limit asked for,
+    the limits held right now)."""
+    calls, held = [], []
+
+    class threadpool_limits:
+        # like threadpoolctl: the limits apply on construction, until exit
+        def __init__(self, limits):
+            self.limits = limits
+            calls.append(limits)
+            held.append(limits)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            held.remove(self.limits)
+
+    module = types.ModuleType("threadpoolctl")
+    module.threadpool_limits = threadpool_limits
+    monkeypatch.setitem(sys.modules, "threadpoolctl", module)
+    return calls, held
+
+
+def test_threads_caps_the_pool_for_the_command(cli_dataset, tmp_path, monkeypatch):
+    calls, held = _fake_threadpoolctl(monkeypatch)
+    during = []
+    real_load = cli.load_dataset
+
+    def spy(directory):
+        during.append(list(held))
+        return real_load(directory)
+
+    monkeypatch.setattr(cli, "load_dataset", spy)
+    assert main(["ingest", str(cli_dataset), "--out", str(tmp_path / "ok"),
+                 "--threads", "3"]) == 0
+    assert during == [[3]] and held == []
+    # released when the command fails too
+    assert main(["ingest", str(tmp_path / "missing"), "--out", str(tmp_path / "bad"),
+                 "--threads", "2"]) == 2
+    assert during == [[3], [2]] and held == []
+    assert calls == [3, 2]
+
+
+def test_threads_zero_leaves_the_pool_alone(cli_dataset, tmp_path, monkeypatch):
+    calls, _ = _fake_threadpoolctl(monkeypatch)
+    assert main(["ingest", str(cli_dataset), "--out", str(tmp_path / "a")]) == 0
+    assert main(["ingest", str(cli_dataset), "--out", str(tmp_path / "b"),
+                 "--threads", "0"]) == 0
+    assert calls == []
+
+
+def test_threads_without_threadpoolctl_exits_2(cli_dataset, tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import raises
+    out = tmp_path / "o"
+    assert main(["ingest", str(cli_dataset), "--out", str(out), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "OPENBLAS_NUM_THREADS=2" in err and "perf" in err
+    assert not out.exists()
 
 
 def test_pretrain_requires_ingest(tmp_path, capsys):

@@ -75,6 +75,14 @@ def test_clip_global_norm():
     assert grads2["a"][0] == pytest.approx(0.3)
 
 
+def test_clip_global_norm_refuses_negative_max_norm():
+    # a negative bound would scale by a negative factor: the gradients reverse
+    grads = {"a": np.array([3.0, 4.0])}
+    with pytest.raises(ValueError, match="max_norm"):
+        clip_global_norm(grads, -1.0)
+    assert grads["a"].tolist() == [3.0, 4.0]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("weight_decay", [0.01, 0.0])
 def test_adamw_bit_identical_to_whole_array_reference(dtype, weight_decay):

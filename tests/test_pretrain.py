@@ -8,12 +8,12 @@ import pytest
 
 import kglp
 from kglp import pretrain
-from kglp.layers import cross_entropy
+from kglp.layers import cross_entropy, per_row_nll
 from kglp.optim import AdamW
 from kglp.pretrain import (PretrainConfig, TrainingDiverged, pretrain_step,
                            run_pretraining, validation_loss)
 from kglp.sampling import MRM, build_pretrain_sample, derive_rng
-from kglp.text import TokenizedCatalog
+from kglp.text import PAD_ID, TokenizedCatalog, trim_width
 
 from util import ForcedRng, reference_pretrain_losses, reference_run_pretraining
 
@@ -55,6 +55,54 @@ def test_cross_entropy_empty_is_zero_not_nan():
     loss, dlogits = cross_entropy(np.zeros((0, 5)), np.zeros(0, dtype=int))
     assert loss == 0.0
     assert dlogits.shape == (0, 5)
+
+
+def test_per_row_nll_is_log_softmax_and_its_gradient(rng):
+    logits = rng.normal(size=(6, 9)) * 3.0
+    targets = rng.integers(0, 9, size=6)
+    nll, grad = per_row_nll(logits, targets)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    np.testing.assert_allclose(nll, -log_probs[np.arange(6), targets], rtol=1e-12)
+    np.testing.assert_allclose(grad, np.exp(log_probs) - np.eye(9)[targets], atol=1e-12)
+    loss, dlogits = cross_entropy(logits, targets)
+    assert loss == float(nll.mean())
+    np.testing.assert_array_equal(dlogits, grad / 6)
+
+
+def test_one_nll_pass_matches_per_term_cross_entropy(pair_kg, pair_cat, pair_vocab):
+    enc = small_encoder(pair_vocab.size)
+    samples = make_batch(pair_kg, pair_cat, n=8, seed=4)
+    grads = enc.zero_grads()
+    mlm, mim, (_, d_states, task_losses) = pretrain._batch_losses(
+        enc, samples, train=False, grads=grads)
+
+    # the two-pass form: one cross-entropy per term, rows scattered back
+    width = trim_width([s.layout.length for s in samples], samples[0].x.shape[0])
+    x, mask, y1, y2 = (np.stack([getattr(s, name)[:width] for s in samples])
+                       for name in ("x", "mask", "y1", "y2"))
+    out, _ = enc.forward(x, mask, train=False)
+    pos1, pos2 = y1 != PAD_ID, y2 != PAD_ID
+    assert pos1.any() and pos2.any() and not (pos1 & pos2).any()
+    pos_any = pos1 | pos2
+    sel1, sel2 = pos1[pos_any], pos2[pos_any]
+    logits, head_cache = enc.predict_tokens(out.token_states[pos_any], train=False)
+    want_mim, dlog1 = cross_entropy(logits[sel1], y1[pos1])
+    want_mlm, dlog2 = cross_entropy(logits[sel2], y2[pos2])
+    dlogits = np.zeros_like(logits)
+    dlogits[sel1] = dlog1
+    dlogits[sel2] = dlog2
+    want_grads = enc.zero_grads()
+    _, want_states = enc.head_backward(head_cache, dlogits, want_grads)
+
+    assert (mlm, mim) == (want_mlm, want_mim)
+    for name, g in want_grads.items():
+        np.testing.assert_array_equal(grads[name], g)
+    np.testing.assert_array_equal(d_states[pos_any], want_states)
+    nll, _ = per_row_nll(logits[sel1], y1[pos1])
+    tasks = np.array([samples[row].task for row in np.nonzero(pos1)[0]])
+    assert task_losses == {t: float(nll[tasks == t].mean())
+                           for t in dict.fromkeys(tasks.tolist())}
 
 
 def test_pretrain_step_updates_and_reports(pair_kg, pair_cat, pair_vocab):
