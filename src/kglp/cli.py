@@ -29,8 +29,9 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, EncoderSettings, load_run_config, parse_config_file
-from .data import (DatasetError, augment_inverse, dataset_statistics, known_completions,
-                   load_dataset, resplit_unseen, save_catalogs, save_splits)
+from .data import (DATASET_FILES, DatasetError, augment_inverse, dataset_statistics,
+                   known_completions, load_dataset, resplit_unseen, save_catalogs,
+                   save_splits)
 from .encoder import CheckpointError, Encoder, load_checkpoint, save_checkpoint
 from .evaluate import evaluate, precompute_entity_embeddings, query_scores, table_unit_rows
 from .files import atomic_write
@@ -111,13 +112,8 @@ def _refuse_overwrite(paths, force: bool) -> None:
 
 
 def _dataset_input_files(dataset_dir: Path) -> dict:
-    files = {}
-    for name in ("train.tsv", "valid.tsv", "test.tsv", "entity2text.tsv",
-                 "entity2textlong.tsv", "relation2text.tsv"):
-        path = dataset_dir / name
-        if path.is_file():
-            files[name] = path
-    return files
+    return {name: dataset_dir / name for name in DATASET_FILES
+            if (dataset_dir / name).is_file()}
 
 
 def _load_run(args):

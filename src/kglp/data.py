@@ -1,11 +1,12 @@
 """Knowledge-graph datasets: loading, catalogs, inverse augmentation, filter indices, resplits.
 
-A dataset directory holds three required triple files (``train.tsv``, ``valid.tsv``,
-``test.tsv``; one triple per line, three tab-separated raw identifiers) and three
-optional text files (``entity2text.tsv``, ``entity2textlong.tsv``,
-``relation2text.tsv``; identifier TAB text). Raw identifiers are mapped to dense
-0-based indices in lexicographic order, so index assignment never depends on file
-order. All structures are immutable after construction and safe for concurrent reads.
+A dataset directory holds the ``DATASET_FILES``: three required triple files
+(``train.tsv``, ``valid.tsv``, ``test.tsv``; one triple per line, three
+tab-separated raw identifiers) and three optional text files (``entity2text.tsv``,
+``entity2textlong.tsv``, ``relation2text.tsv``; identifier TAB text). Raw
+identifiers map to dense 0-based indices in lexicographic order, so index
+assignment never depends on file order. All structures are immutable after
+construction and safe for concurrent reads.
 
 Each split is a read-only ``Triples``: a ``Sequence[Triple]`` backed by one
 C-contiguous ``(n, 3)`` int64 array of (head, relation, tail) rows. Indexing and
@@ -15,7 +16,8 @@ or sorted a split takes a list first: ``list(kg.splits[name])``.
 
 The filter index of known-true completions is one sorted array of distinct
 packed (head, relation, tail) codes, in which each key's tails are one run; its
-lookups return copies (see ``FilterIndex``).
+lookups return copies. ``build_filter_index`` builds it over a graph's splits;
+``FilterIndex`` itself takes head, relation and tail columns and the catalog sizes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 import json
 import logging
 import operator
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,6 +38,10 @@ from .files import atomic_write
 logger = logging.getLogger(__name__)
 
 SPLITS = ("train", "valid", "test")
+#: The files of a dataset directory: one per split, in ``SPLITS`` order, then
+#: the optional entity names, entity descriptions and relation texts.
+DATASET_FILES = ("train.tsv", "valid.tsv", "test.tsv",
+                 "entity2text.tsv", "entity2textlong.tsv", "relation2text.tsv")
 
 #: Display-text prefix marking a synthesized inverse relation.
 INVERSE_TEXT_PREFIX = "reverse "
@@ -266,8 +272,8 @@ def load_dataset(directory) -> KnowledgeGraph:
         raise DatasetError(f"dataset directory not found: {directory}")
 
     raw_splits: dict[str, list[tuple[str, str, str]]] = {}
-    for name in SPLITS:
-        path = directory / f"{name}.tsv"
+    for name, fname in zip(SPLITS, DATASET_FILES):
+        path = directory / fname
         if not path.is_file():
             raise DatasetError(f"missing split file: {path}")
         raw_splits[name] = _read_triple_file(path)
@@ -278,9 +284,9 @@ def load_dataset(directory) -> KnowledgeGraph:
     ent_index = {e: i for i, e in enumerate(entity_ids)}
     rel_index = {r: i for i, r in enumerate(relation_ids)}
 
-    names = _read_text_file(directory / "entity2text.tsv")
-    longs = _read_text_file(directory / "entity2textlong.tsv")
-    rel_texts = _read_text_file(directory / "relation2text.tsv")
+    names_file, longs_file, rel_file = DATASET_FILES[len(SPLITS):]
+    names, longs, rel_texts = (_read_text_file(directory / fname)
+                               for fname in (names_file, longs_file, rel_file))
 
     entity_names = [names.get(e, e) if names is not None else e for e in entity_ids]
     entity_descriptions = [longs.get(e, "") if longs is not None else "" for e in entity_ids]
@@ -289,15 +295,13 @@ def load_dataset(directory) -> KnowledgeGraph:
     if names is not None:
         missing = sum(1 for e in entity_ids if e not in names)
         if missing:
-            logger.warning(
-                "%d of %d entities missing from entity2text.tsv; using identifiers as text",
-                missing, len(entity_ids))
+            logger.warning("%d of %d entities missing from %s; using identifiers as text",
+                           missing, len(entity_ids), names_file)
     if rel_texts is not None:
         missing = sum(1 for r in relation_ids if r not in rel_texts)
         if missing:
-            logger.warning(
-                "%d of %d relations missing from relation2text.tsv; using identifiers as text",
-                missing, len(relation_ids))
+            logger.warning("%d of %d relations missing from %s; using identifiers as text",
+                           missing, len(relation_ids), rel_file)
 
     splits: dict[str, Triples] = {}
     for name, rows in raw_splits.items():
@@ -358,8 +362,12 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
 class FilterIndex:
     """Map from (entity, relation) query keys to the set of known-true completions.
 
-    Built over the requested splits of an augmented graph, so tail queries (h, r)
-    and head queries (t, r_rev) are both covered by one tail-side pass.
+    ``FilterIndex(heads, relations, tails, num_entities, num_relations, splits)``
+    indexes the completions ``(heads[i], relations[i], tails[i])`` of a catalog
+    of the given sizes; duplicates are kept once, and an index outside the
+    catalog raises ``ValueError``. ``build_filter_index`` builds it over the
+    requested splits of an augmented graph, so tail queries (h, r) and head
+    queries (t, r_rev) are both covered by one tail-side pass.
 
     The index is one sorted read-only int64 array rather than Python sets:
     ``_codes`` holds the distinct packed completions
@@ -374,38 +382,19 @@ class FilterIndex:
     ``set``, a copy that the caller may change freely; unknown keys give an
     empty set. ``keys()`` yields ``(entity, relation)`` tuples in ascending
     packed order.
-
-    ``FilterIndex(mapping, splits)`` builds the same array from a dict of
-    (entity, relation) keys to iterables of tails, with the catalog sizes taken
-    as one past the largest index present; keys with no tails are dropped.
     """
 
-    def __init__(self, index: Mapping[tuple[int, int], Iterable[int]],
-                 splits: tuple[str, ...]):
-        rows = [(h, r, t) for (h, r), tails in index.items() for t in tails]
-        heads, relations, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
-        if rows and min(heads.min(), relations.min(), tails.min()) < 0:
-            raise ValueError("filter index entries must be non-negative")
-        num_entities = int(max(heads.max(), tails.max())) + 1 if rows else 0
-        num_relations = int(relations.max()) + 1 if rows else 0
-        self._pack(heads, relations, tails, num_entities, num_relations, splits)
-
-    @classmethod
-    def _from_columns(cls, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray,
-                     num_entities: int, num_relations: int,
-                     splits: tuple[str, ...]) -> FilterIndex:
-        """Index the completions (heads[i], relations[i], tails[i]) of a catalog
-        of the given sizes; duplicates are kept once."""
-        self = cls.__new__(cls)
-        self._pack(heads, relations, tails, num_entities, num_relations, splits)
-        return self
-
-    def _pack(self, heads, relations, tails, num_entities: int, num_relations: int,
-              splits: tuple[str, ...]) -> None:
+    def __init__(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray,
+                 num_entities: int, num_relations: int, splits: tuple[str, ...]):
         if num_entities * num_entities * num_relations > np.iinfo(np.int64).max:
             raise ValueError(
                 f"{num_entities} entities x {num_relations} relations overflow the "
                 f"int64 packed codes of the filter index")
+        for name, column, size in (("head", heads, num_entities),
+                                   ("relation", relations, num_relations),
+                                   ("tail", tails, num_entities)):
+            if column.size and not 0 <= column.min() <= column.max() < size:
+                raise ValueError(f"filter index {name} outside the catalog [0, {size})")
         self.splits = splits
         self._num_entities, self._num_relations = num_entities, num_relations
         codes = (heads * num_relations + relations) * num_entities + tails
@@ -472,8 +461,7 @@ def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> 
     """Index all completions of every (entity, relation) key in the given splits."""
     rows = [triples.array for triples in _filter_splits(kg, splits)]
     heads, relations, tails = np.concatenate(rows or [np.empty((0, 3), np.int64)]).T
-    return FilterIndex._from_columns(heads, relations, tails, kg.num_entities,
-                                     kg.num_relations, splits)
+    return FilterIndex(heads, relations, tails, kg.num_entities, kg.num_relations, splits)
 
 
 def known_completions(kg: KnowledgeGraph, key: tuple[int, int],
@@ -556,16 +544,17 @@ def save_splits(kg: KnowledgeGraph, directory) -> None:
     entity_ids = np.array(kg.entity_ids, dtype=object)
     relation_ids = np.array(kg.relation_ids, dtype=object)
     files = {}
-    for name in SPLITS:
+    for name, fname in zip(SPLITS, DATASET_FILES):
         heads, relations, tails = kg.splits[name].array.T
-        files[f"{name}.tsv"] = lines(zip(entity_ids[heads], relation_ids[relations],
-                                         entity_ids[tails]))
-    files["entity2text.tsv"] = lines(zip(kg.entity_ids, kg.entity_names))
+        files[fname] = lines(zip(entity_ids[heads], relation_ids[relations],
+                                 entity_ids[tails]))
+    names_file, longs_file, rel_file = DATASET_FILES[len(SPLITS):]
+    files[names_file] = lines(zip(kg.entity_ids, kg.entity_names))
     if any(kg.entity_descriptions):
-        files["entity2textlong.tsv"] = lines(
+        files[longs_file] = lines(
             (raw, desc) for raw, desc in zip(kg.entity_ids, kg.entity_descriptions) if desc)
     n = kg.num_relations // 2 if kg.augmented else kg.num_relations
-    files["relation2text.tsv"] = lines(zip(kg.relation_ids[:n], kg.relation_texts[:n]))
+    files[rel_file] = lines(zip(kg.relation_ids[:n], kg.relation_texts[:n]))
     with ExitStack() as stack:
         for fname, text in files.items():
             stack.enter_context(atomic_write(directory / fname, text=True)).write(text)

@@ -15,6 +15,7 @@ with k uniformly sampled negative entities per row. The epoch loop is
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,6 @@ _SHUFFLE, _DROPOUT, _NEGATIVES = 11, 12, 13
 
 _P_EPS = 1e-6
 
-#: count of zero-norm vectors silently scored as cosine 0 (diagnostic counter)
-zero_norm_count = 0
-
 
 @dataclass(frozen=True)
 class FocalParams:
@@ -52,7 +50,7 @@ class FocalParams:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
 
 
-def build_label_matrix(batch: list[Triple], filter_index: FilterIndex) -> np.ndarray:
+def build_label_matrix(batch: Sequence[Triple], filter_index: FilterIndex) -> np.ndarray:
     """n x n binary labels: cell (i, j) is 1 iff tail_j completes query_i.
 
     The diagonal is always positive; off-diagonal positives appear when a batch
@@ -64,20 +62,14 @@ def build_label_matrix(batch: list[Triple], filter_index: FilterIndex) -> np.nda
     return y
 
 
-def _count_zero_norms(*norm_arrays) -> None:
-    global zero_norm_count
-    zeros = sum(int((n == 0.0).sum()) for n in norm_arrays)
-    if zeros:
-        zero_norm_count += zeros
-        logger.warning("%d zero-norm vectors in cosine scoring", zeros)
-
-
 def score_batch(pair_vectors: np.ndarray, entity_vectors: np.ndarray) -> np.ndarray:
     """Full cosine-similarity matrix between the two encoded sides."""
     # zero rows stay zero, so their cosines come out as 0
     u, pn = unit_rows(pair_vectors)
     v, en = unit_rows(entity_vectors)
-    _count_zero_norms(pn, en)
+    zeros = int((pn == 0.0).sum() + (en == 0.0).sum())
+    if zeros:
+        logger.warning("%d zero-norm vectors in cosine scoring", zeros)
     # rounding can push a perfect match to 1 + eps; the matrix contract is [-1, 1]
     return np.clip(u @ v.T, -1.0, 1.0)
 
@@ -178,22 +170,17 @@ def vector_grads(pair_vectors, entity_vectors, dscores, ddiffs):
     return dpair.astype(pair_vectors.dtype), dent.astype(entity_vectors.dtype)
 
 
-def _cell_loss(pair_vectors, entity_vectors, labels, fp: FocalParams, cell_mask=None):
-    """(loss, l1_mean, l2_mean, d_pair_vectors, d_entity_vectors) of one batch."""
+def loss_and_vector_grads(pair_vectors, entity_vectors, labels, fp: FocalParams,
+                          cell_mask=None):
+    """(loss, l1_mean, l2_mean, d_pair_vectors, d_entity_vectors) of one batch:
+    the joint loss, its two terms and its gradients w.r.t. the raw encoded
+    vectors of both sides."""
     scores = score_batch(pair_vectors, entity_vectors)
     diffs = abs_diff_sums(pair_vectors, entity_vectors)
     loss, l1_mean, l2_mean, dscores, ddiffs = joint_loss_with_grads(
         scores, diffs, labels, fp, cell_mask)
     dpair, dent = vector_grads(pair_vectors, entity_vectors, dscores, ddiffs)
     return loss, l1_mean, l2_mean, dpair, dent
-
-
-def loss_and_vector_grads(pair_vectors, entity_vectors, labels, fp: FocalParams,
-                          cell_mask=None):
-    """Joint loss plus gradients w.r.t. the raw encoded vectors of both sides."""
-    loss, _, _, dpair, dent = _cell_loss(pair_vectors, entity_vectors, labels, fp,
-                                         cell_mask)
-    return loss, dpair, dent
 
 
 @dataclass
@@ -231,7 +218,7 @@ class FinetuneStepReport:
     grad_norm: float | None = None
 
 
-def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
+def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatalog,
                   label_filter: FilterIndex, optimizer: AdamW, lr_scale: float,
                   config: FinetuneConfig, rng: np.random.Generator,
                   neg_rng: np.random.Generator | None = None) -> FinetuneStepReport:
@@ -241,13 +228,14 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
     is non-finite; the caller decorates the exception with step context.
     """
     fp = config.focal()
-    pair_layouts = [assemble_pair(cat, t.head, t.relation, config.pair_max_len)
-                    for t in batch]
+    heads, relations, tails = Triples(batch).array.T
+    pair_layouts = [assemble_pair(cat, h, r, config.pair_max_len)
+                    for h, r in zip(heads.tolist(), relations.tolist())]
     pair_out, pair_cache = encoder.forward(*stack_layouts(pair_layouts), train=True,
                                            rng=rng)
 
     if config.negative_mode == "in_batch":
-        ent_ids = np.array([t.tail for t in batch])
+        ent_ids = tails
         labels = build_label_matrix(batch, label_filter)
         cell_mask = None
     elif config.negative_mode == "uniform_k":
@@ -255,7 +243,6 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
             raise ValueError("uniform_k negative sampling needs neg_rng")
         n = len(batch)
         k = config.num_negatives
-        tails = np.array([t.tail for t in batch])
         sampled = neg_rng.integers(0, cat.kg.num_entities, size=(n, k))
         ent_ids, inverse = np.unique(np.concatenate([tails, sampled.ravel()]),
                                      return_inverse=True)
@@ -270,14 +257,14 @@ def finetune_step(batch: list[Triple], encoder: Encoder, cat: TokenizedCatalog,
     else:
         raise ValueError(f"unknown negative_mode {config.negative_mode!r}")
 
-    ent_layouts = [assemble_entity(cat, int(e), config.entity_max_len)
-                   for e in ent_ids]
+    ent_layouts = [assemble_entity(cat, e, config.entity_max_len)
+                   for e in ent_ids.tolist()]
     ent_out, ent_cache = encoder.forward(*stack_layouts(ent_layouts), train=True,
                                          rng=rng)
     if not (np.isfinite(pair_out.pooled).all() and np.isfinite(ent_out.pooled).all()):
         raise TrainingDiverged(-1, {}, [])
-    loss, l1, l2, dpair, dent = _cell_loss(pair_out.pooled, ent_out.pooled, labels,
-                                           fp, cell_mask)
+    loss, l1, l2, dpair, dent = loss_and_vector_grads(pair_out.pooled, ent_out.pooled,
+                                                      labels, fp, cell_mask)
 
     grads = encoder.backward(pair_cache, d_pooled=dpair)
     encoder.backward(ent_cache, d_pooled=dent, grads=grads)
@@ -300,7 +287,7 @@ def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
     eval_filter = build_filter_index(kg)
 
     def step(epoch, ids, optimizer, lr_scale, dropout_rng, neg_rng):
-        report = finetune_step([train[i] for i in ids], encoder, cat, label_filter,
+        report = finetune_step(Triples(train.array[ids]), encoder, cat, label_filter,
                                optimizer, lr_scale, config, rng=dropout_rng,
                                neg_rng=neg_rng)
         return ({"train_loss": report.loss},

@@ -23,7 +23,7 @@ from .encoder import Encoder
 from .layers import clip_global_norm, per_row_nll
 from .optim import AdamW, TrainingDiverged, run_epochs
 from .sampling import PretrainSample, build_pretrain_sample, derive_rng
-from .text import PAD_ID, TokenizedCatalog, Vocabulary, trim_width
+from .text import PAD_ID, TokenizedCatalog, Vocabulary, stack_trimmed
 
 # rng stream tags so shuffling, masking, dropout, and validation never collide
 _SHUFFLE, _SAMPLE, _DROPOUT, _VALID = 1, 2, 3, 4
@@ -74,11 +74,8 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     backward context comes back as the third item; otherwise that item is None.
     """
     # targets only exist inside the non-PAD content, so trimming cuts none
-    width = trim_width([s.layout.length for s in samples], samples[0].x.shape[0])
-    x = np.stack([s.x[:width] for s in samples])
-    mask = np.stack([s.mask[:width] for s in samples])
-    y1 = np.stack([s.y1[:width] for s in samples])
-    y2 = np.stack([s.y2[:width] for s in samples])
+    x, mask, y1, y2 = stack_trimmed([s.layout.length for s in samples],
+                                    [(s.x, s.mask, s.y1, s.y2) for s in samples])
     out, cache = encoder.forward(x, mask, train=train, rng=rng)
     pos1 = y1 != PAD_ID
     pos2 = y2 != PAD_ID

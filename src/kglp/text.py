@@ -243,9 +243,14 @@ def trim_width(lengths, cap: int) -> int:
     return min(cap, -(-max(lengths) // 8) * 8)
 
 
-def stack_layouts(layouts: list[SequenceLayout]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack layouts into (tokens, mask) batch arrays cut to ``trim_width``."""
-    width = trim_width([l.length for l in layouts], layouts[0].tokens.shape[0])
-    tokens = np.stack([l.tokens[:width] for l in layouts])
-    mask = np.stack([l.mask[:width] for l in layouts])
-    return tokens, mask
+def stack_trimmed(lengths, rows) -> list[np.ndarray]:
+    """Stack ``rows``, one tuple of 1-D arrays per sequence of the given real
+    lengths, into one batch array per tuple position, cut to ``trim_width``."""
+    width = trim_width(lengths, rows[0][0].shape[0])
+    return [np.stack([row[:width] for row in column]) for column in zip(*rows)]
+
+
+def stack_layouts(layouts: list[SequenceLayout]) -> list[np.ndarray]:
+    """Stack layouts into [tokens, mask] batch arrays cut to ``trim_width``."""
+    return stack_trimmed([l.length for l in layouts],
+                         [(l.tokens, l.mask) for l in layouts])

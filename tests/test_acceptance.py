@@ -300,7 +300,7 @@ def test_c6_numerical_correctness(rng):
     evec = np.random.default_rng(5).standard_normal((5, 7))
     labels = np.eye(5, dtype=np.int8)
     fp = FocalParams(0.8, 2.0)
-    _, dp, de = loss_and_vector_grads(pvec, evec, labels, fp)
+    _, _, _, dp, de = loss_and_vector_grads(pvec, evec, labels, fp)
     worst_joint = 0.0
     for arr, grad in ((pvec, dp), (evec, de)):
         for _ in range(20):

@@ -10,7 +10,7 @@ from kglp.data import (SPLITS, FilterIndex, KnowledgeGraph, Triple, build_filter
                        known_completions)
 from kglp.finetune import build_label_matrix
 
-from util import naive_label_matrix
+from util import filter_from_mapping, naive_label_matrix
 
 
 def make_graph(n_entities: int, n_relations: int, splits: dict) -> KnowledgeGraph:
@@ -75,7 +75,7 @@ def test_index_matches_dict_of_sets(case, probes):
     built = build_filter_index(kg, splits)
     assert built.splits == splits
     assert_matches(built, truth, probes)
-    from_mapping = FilterIndex(truth, splits)
+    from_mapping = filter_from_mapping(truth, splits)
     assert_matches(from_mapping, truth, probes)
 
 
@@ -97,7 +97,7 @@ def test_label_matrix_matches_oracle_for_both_constructors(case, rows, data):
                                max_size=len(rows)))
     batch = [Triple(h, r, t) for (h, r), t in zip(rows, tails)]
     want = naive_label_matrix(batch, truth)
-    for index in (build_filter_index(kg, splits), FilterIndex(truth, splits)):
+    for index in (build_filter_index(kg, splits), filter_from_mapping(truth, splits)):
         y = build_label_matrix(batch, index)
         assert y.dtype == np.int8
         assert (y == want).all()
@@ -105,7 +105,7 @@ def test_label_matrix_matches_oracle_for_both_constructors(case, rows, data):
 
 def test_empty_index():
     kg = make_graph(3, 2, {})
-    for index in (build_filter_index(kg), FilterIndex({}, ("train",))):
+    for index in (build_filter_index(kg), filter_from_mapping({})):
         assert len(index) == 0
         assert list(index.keys()) == []
         assert (0, 0) not in index
@@ -116,7 +116,7 @@ def test_empty_index():
 
 
 def test_tails_are_read_only_views():
-    index = FilterIndex({(0, 0): {2, 1}, (1, 0): {0}}, ("train",))
+    index = filter_from_mapping({(0, 0): {2, 1}, (1, 0): {0}})
     tails = index.tails((0, 0))
     assert tails.tolist() == [1, 2]
     with pytest.raises(ValueError):
@@ -126,9 +126,17 @@ def test_tails_are_read_only_views():
 
 def test_overflowing_catalog_is_refused():
     with pytest.raises(ValueError, match="overflow"):
-        FilterIndex({(2 ** 40, 0): {1}}, ("train",))
+        filter_from_mapping({(2 ** 40, 0): {1}})
     with pytest.raises(ValueError, match="overflow"):
-        FilterIndex({(0, 2 ** 62): {1}}, ("train",))
+        filter_from_mapping({(0, 2 ** 62): {1}})
+
+
+@pytest.mark.parametrize("row", [(-1, 0, 0), (4, 0, 0), (0, -1, 0), (0, 2, 0),
+                                 (0, 0, -1), (0, 0, 4)])
+def test_entries_outside_the_catalog_are_refused(row):
+    heads, relations, tails = np.array([(0, 0, 1), row]).T
+    with pytest.raises(ValueError, match="outside the catalog"):
+        FilterIndex(heads, relations, tails, 4, 2, ("train",))
 
 
 # A catalog of E = 4 entities and R = 2 relations packs its codes into
@@ -145,8 +153,8 @@ EDGE_PROBES = [(h, r) for h in range(-1, 6) for r in range(-1, 4)] + [
 def edge_indices():
     heads, relations, tails = np.array(
         [(h, r, t) for (h, r), ts in EDGES.items() for t in ts]).T
-    return [FilterIndex(EDGES, ("train",)),
-            FilterIndex._from_columns(heads, relations, tails, 4, 2, ("train",))]
+    return [filter_from_mapping(EDGES),
+            FilterIndex(heads, relations, tails, 4, 2, ("train",))]
 
 
 def test_runs_at_the_catalog_edges():

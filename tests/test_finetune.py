@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import logging
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 import kglp
 from kglp import finetune as ft
-from kglp.data import FilterIndex, Triple, build_filter_index
+from kglp.data import Triple, Triples, build_filter_index
 from kglp.finetune import (FinetuneConfig, FocalParams, abs_diff_sums,
                            build_label_matrix, finetune_step, joint_loss,
                            loss_and_vector_grads, run_finetune, score_batch)
@@ -17,13 +18,13 @@ from kglp.optim import AdamW
 from kglp.pretrain import TrainingDiverged
 from kglp.text import TokenizedCatalog
 
-from util import (naive_cosine, naive_label_matrix, reference_finetune_report,
+from util import (filter_from_mapping, naive_cosine, naive_label_matrix, reference_finetune_report,
                   reference_ranks, reference_run_finetune, rel_error,
                   scalar_joint_loss)
 
 
 def filter_from_dict(d):
-    return FilterIndex({k: set(v) for k, v in d.items()}, ("train",))
+    return filter_from_mapping({k: set(v) for k, v in d.items()})
 
 
 def test_focal_params_validation():
@@ -99,13 +100,14 @@ def test_score_batch_scale_invariance(rng):
     assert np.allclose(base, scaled, atol=1e-6)
 
 
-def test_score_batch_zero_vector_counted():
-    before = ft.zero_norm_count
+def test_score_batch_zero_vector_counted(caplog):
     p = np.zeros((2, 3))
     p[1] = [1.0, 0.0, 0.0]
-    scores = score_batch(p, np.eye(3))
+    with caplog.at_level(logging.WARNING, logger="kglp.finetune"):
+        scores = score_batch(p, np.eye(3))
     assert (scores[0] == 0.0).all()
-    assert ft.zero_norm_count == before + 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "1 zero-norm vectors in cosine scoring"]
 
 
 def test_abs_diff_sums_matches_double_loop(rng):
@@ -207,7 +209,7 @@ def test_loss_gradients_match_finite_differences(rng):
     labels = np.eye(n, dtype=np.int8)
     labels[0, 2] = 1
     fp = FocalParams(alpha=0.7, gamma=2.0)
-    _, dp, de = loss_and_vector_grads(p, e, labels, fp)
+    _, _, _, dp, de = loss_and_vector_grads(p, e, labels, fp)
 
     def value():
         return joint_loss(score_batch(p, e), abs_diff_sums(p, e), labels, fp)
@@ -281,6 +283,29 @@ def test_finetune_step_uniform_k_mode(pair_kg, pair_vocab):
     # up to 6*(1+5) cells; collisions between a row's tail and its sampled
     # negatives can only merge cells, never add
     assert 6 < report.n_pos + report.n_neg <= 36
+
+
+@pytest.mark.parametrize("mode", ["in_batch", "uniform_k"])
+def test_finetune_step_takes_a_list_or_triples(pair_kg, pair_vocab, mode):
+    cat = TokenizedCatalog(pair_kg, pair_vocab)
+    cfg = FinetuneConfig(batch_size=8, pair_max_len=32, entity_max_len=16,
+                         negative_mode=mode, num_negatives=3)
+    filt = build_filter_index(pair_kg, ("train",))
+    rows = pair_kg.splits["train"][:8]
+    runs = []
+    for batch in (list(rows), Triples(rows.array)):
+        enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=pair_vocab.size, hidden_size=32,
+                                              num_layers=1, num_heads=4, ff_size=48,
+                                              max_len=32), seed=0)
+        opt = AdamW({"linear": 1e-3, "attention": 5e-5})
+        report = finetune_step(batch, enc, cat, filt, opt, 1.0, cfg,
+                               rng=np.random.default_rng(0),
+                               neg_rng=np.random.default_rng(1))
+        runs.append((report, enc.params))
+    (want, want_params), (report, params) = runs
+    assert report == want
+    assert want_params.keys() == params.keys()
+    assert all(np.array_equal(want_params[k], params[k]) for k in want_params)
 
 
 def test_finetune_step_unknown_mode_rejected(pair_kg, pair_vocab):

@@ -125,6 +125,19 @@ def naive_label_matrix(batch, truth: dict) -> np.ndarray:
     return y
 
 
+def filter_from_mapping(mapping: dict, splits=("train",)):
+    """A ``FilterIndex`` of a dict of (entity, relation) keys to iterables of
+    tails, with the catalog sizes taken as one past the largest index present;
+    keys with no tails are dropped."""
+    from kglp.data import FilterIndex
+
+    rows = [(h, r, t) for (h, r), tails in mapping.items() for t in tails]
+    heads, relations, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    num_entities = int(max(heads.max(), tails.max())) + 1 if rows else 0
+    num_relations = int(relations.max()) + 1 if rows else 0
+    return FilterIndex(heads, relations, tails, num_entities, num_relations, splits)
+
+
 def naive_cosine(pair_vectors, entity_vectors) -> np.ndarray:
     """Entry-by-entry scalar cosine."""
     n, m = len(pair_vectors), len(entity_vectors)
