@@ -24,11 +24,12 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, EncoderSettings, load_run_config, parse_config_file
+from .config import ConfigError, EncoderSettings, RunConfig, load_run_config
 from .data import (DATASET_FILES, DatasetError, augment_inverse, dataset_statistics,
                    known_completions, load_dataset, resplit_unseen, save_catalogs,
                    save_splits)
@@ -49,10 +50,12 @@ class ArtifactError(Exception):
 # --------------------------------------------------------------------- helpers
 
 def _thread_limit(threads: int):
-    """A context that caps the BLAS/OpenMP pools at ``threads`` while entered
-    (0 leaves them as they are). Raises ConfigError without threadpoolctl: numpy
-    has started its pools by now, so only threadpoolctl can still resize them."""
-    if threads <= 0:
+    """A context that caps the BLAS/OpenMP pools at ``threads`` while entered (0
+    leaves them as they are). Raises ConfigError below 0, and without threadpoolctl:
+    numpy has started its pools by now, so only threadpoolctl can still resize them."""
+    if threads < 0:
+        raise ConfigError(f"--threads must be >= 0 (0 leaves the pools alone), got {threads}")
+    if threads == 0:
         return contextlib.nullcontext()
     try:
         from threadpoolctl import threadpool_limits
@@ -65,7 +68,8 @@ def _thread_limit(threads: int):
 
 
 def _collect_overrides(args) -> dict:
-    """Config overrides from ``--set key=value`` (repeatable) and ``--seed``."""
+    """Config overrides from ``--set key=value`` (repeatable), ``--seed`` and
+    ``--mlm-only``; a flag beats ``--set``."""
     overrides = {}
     for pair in args.set or []:
         key, sep, value = pair.partition("=")
@@ -74,6 +78,8 @@ def _collect_overrides(args) -> dict:
         overrides[key.strip()] = value.strip()
     if args.seed is not None:
         overrides["seed"] = args.seed
+    if getattr(args, "mlm_only", False):
+        overrides["pretrain.mlm_only"] = True
     return overrides
 
 
@@ -85,15 +91,15 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(out_dir: Path, name: str, command: str, config_snapshot: dict,
-                   inputs: dict, outputs: dict, metrics: dict, seed: int,
-                   elapsed: float) -> Path:
+def write_manifest(out_dir: Path, name: str, rc: RunConfig, inputs: dict, outputs: dict,
+                   metrics: dict, started: float) -> Path:
+    """Write ``manifest.<name>.json``; its command is the first dotted part of ``name``."""
     manifest = {
-        "command": command,
+        "command": name.split(".")[0],
         "created_unix": time.time(),
-        "seed": seed,
-        "elapsed_sec": round(elapsed, 3),
-        "config": config_snapshot,
+        "seed": rc.seed,
+        "elapsed_sec": round(time.time() - started, 3),
+        "config": asdict(rc),
         "inputs": {str(k): file_sha256(v) for k, v in inputs.items()},
         "outputs": {str(k): file_sha256(v) for k, v in outputs.items()},
         "metrics": metrics,
@@ -118,36 +124,19 @@ def _dataset_input_files(dataset_dir: Path) -> dict:
 
 def _load_run(args):
     """Read an ingested run directory: (out_dir, augmented kg, vocab, run config).
-
-    The dataset directory, the profile name and ``vocab.min_freq`` come from
-    ``dataset.json``. A ``vocab.min_freq`` from ``--set`` or ``--config`` that
-    differs from it is refused: ``vocab.txt`` was built with the ingest value.
-    """
+    ``load_run_config`` takes the dataset directory, the profile name and
+    ``vocab.min_freq`` from ``dataset.json``."""
     out_dir = Path(args.out)
     dataset_meta_path = out_dir / "dataset.json"
     if not dataset_meta_path.is_file():
         raise ArtifactError(
             f"{out_dir} has no dataset.json; run `kglp ingest <dataset_dir> --out {out_dir}` first")
-    with open(dataset_meta_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
     vocab_path = out_dir / "vocab.txt"
     if not vocab_path.is_file():
         raise ArtifactError(
             f"{out_dir} has no vocab.txt; run `kglp ingest` first")
-
-    overrides = _collect_overrides(args)
-    overrides.setdefault("dataset.name", meta.get("name", ""))
-    rc = load_run_config(args.config, overrides, meta["dir"])
-    ingested = meta.get("min_freq", 1)
-    explicit = {**(parse_config_file(args.config) if args.config else {}), **overrides}
-    if "vocab.min_freq" in explicit and rc.vocab.min_freq != ingested:
-        raise ConfigError(
-            f"vocab.min_freq = {rc.vocab.min_freq}, but {out_dir} was ingested with "
-            f"vocab.min_freq = {ingested}; to change it, re-ingest with "
-            f"`kglp ingest --force` and re-run the stages after it")
-    rc.vocab.min_freq = ingested
-
-    kg = augment_inverse(load_dataset(meta["dir"]))
+    rc = load_run_config(args.config, _collect_overrides(args), ingested=dataset_meta_path)
+    kg = augment_inverse(load_dataset(rc.dataset.dir))
     return out_dir, kg, Vocabulary.load(vocab_path), rc
 
 
@@ -198,11 +187,9 @@ def cmd_ingest(args) -> int:
         json.dump({"dir": str(dataset_dir.resolve()), "name": rc.dataset.name,
                    "min_freq": rc.vocab.min_freq}, fh, indent=1)
 
-    write_manifest(out_dir, "ingest", "ingest", rc.snapshot(),
-                   inputs=_dataset_input_files(dataset_dir),
-                   outputs={p.name: p for p in artifacts},
-                   metrics=stats_payload, seed=rc.seed,
-                   elapsed=time.time() - started)
+    write_manifest(out_dir, "ingest", rc, inputs=_dataset_input_files(dataset_dir),
+                   outputs={p.name: p for p in artifacts}, metrics=stats_payload,
+                   started=started)
 
     for key in ("entities", "relations", "train", "valid", "test"):
         print(f"{key:<10}{stats[key]}")
@@ -213,8 +200,6 @@ def cmd_ingest(args) -> int:
 def cmd_pretrain(args) -> int:
     started = time.time()
     out_dir, kg, vocab, rc = _load_run(args)
-    if args.mlm_only:
-        rc.pretrain.mlm_only = True
     ckpt_path = out_dir / "pretrain.npz"
     _refuse_overwrite([ckpt_path], args.force)
 
@@ -224,11 +209,10 @@ def cmd_pretrain(args) -> int:
     save_checkpoint(encoder, ckpt_path)
 
     best = min(h["val_total"] for h in history)
-    write_manifest(out_dir, "pretrain", "pretrain", rc.snapshot(),
-                   inputs={"vocab.txt": out_dir / "vocab.txt"},
+    write_manifest(out_dir, "pretrain", rc, inputs={"vocab.txt": out_dir / "vocab.txt"},
                    outputs={"pretrain.npz": ckpt_path},
                    metrics={"epochs_run": len(history), "best_val_loss": best},
-                   seed=rc.seed, elapsed=time.time() - started)
+                   started=started)
     print(ckpt_path)
     return 0
 
@@ -257,10 +241,10 @@ def cmd_finetune(args) -> int:
         np.savez(fh, table=table, checkpoint_sha256=np.array(file_sha256(ckpt_out)))
 
     best = max((h.get("val_hits10", -1.0) for h in history), default=-1.0)
-    write_manifest(out_dir, "finetune", "finetune", rc.snapshot(), inputs=inputs,
+    write_manifest(out_dir, "finetune", rc, inputs=inputs,
                    outputs={"finetune.npz": ckpt_out, "entity_table.npz": table_out},
                    metrics={"epochs_run": len(history), "best_val_hits10": best},
-                   seed=rc.seed, elapsed=time.time() - started)
+                   started=started)
     print(ckpt_out)
     return 0
 
@@ -279,10 +263,9 @@ def cmd_evaluate(args) -> int:
 
     metrics = {k: getattr(report, k) for k in ("hits1", "hits3", "hits10", "mr", "mrr")}
     metrics["n_queries"] = report.n_queries
-    write_manifest(out_dir, f"evaluate.{args.split}", "evaluate", rc.snapshot(),
-                   inputs={"checkpoint": ckpt_path},
+    write_manifest(out_dir, f"evaluate.{args.split}", rc, inputs={"checkpoint": ckpt_path},
                    outputs={report_path.name: report_path}, metrics=metrics,
-                   seed=rc.seed, elapsed=time.time() - started)
+                   started=started)
     print(f"split={args.split} n_queries={report.n_queries} "
           f"hits@1={report.hits1:.4f} hits@3={report.hits3:.4f} "
           f"hits@10={report.hits10:.4f} mr={report.mr:.2f} mrr={report.mrr:.4f}")
@@ -293,11 +276,10 @@ def cmd_evaluate(args) -> int:
 def cmd_resplit_unseen(args) -> int:
     dataset_dir = Path(args.dataset_dir)
     out_dir = Path(args.out)
+    rc = load_run_config(args.config, _collect_overrides(args), dataset_dir)
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
         raise ArtifactError(f"output directory {out_dir} is not empty (use --force)")
-    kg = load_dataset(dataset_dir)
-    seed = args.seed if args.seed is not None else 0
-    resplit = resplit_unseen(kg, args.ratio, seed)
+    resplit = resplit_unseen(load_dataset(dataset_dir), args.ratio, rc.seed)
     save_splits(resplit, out_dir)
     stats = dataset_statistics(resplit)
     for key in ("entities", "relations", "train", "valid", "test"):
@@ -307,6 +289,8 @@ def cmd_resplit_unseen(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    if args.k < 1:
+        raise ConfigError(f"-k must be >= 1, got {args.k}")
     out_dir, kg, vocab, rc = _load_run(args)
     pair_max_len = rc.finetune.pair_max_len
     ckpt_path, encoder = _load_run_checkpoint(args, out_dir, "finetune", vocab, rc)

@@ -1,14 +1,15 @@
 """Run configuration: flat dotted-key config files, per-dataset defaults, overrides.
 
 A config file is plain text, one ``section.key = value`` per line, with ``#``
-line comments. Precedence: baked per-dataset defaults < config file < explicit
-flag overrides. Unknown keys are rejected rather than ignored so typos cannot
-silently change an experiment.
+line comments. Precedence: baked per-dataset defaults < the run's ingest record <
+config file < explicit flag overrides. Unknown keys are rejected rather than
+ignored so typos cannot silently change an experiment.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+import json
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .data import SPLITS
@@ -61,9 +62,6 @@ class RunConfig:
     finetune: FinetuneConfig = field(default_factory=FinetuneConfig)
     seed: int = 0
 
-    def snapshot(self) -> dict:
-        return asdict(self)
-
 
 #: fine-tuning hyperparameters per benchmark; everything else keeps global defaults
 DATASET_PROFILES: dict[str, dict[str, object]] = {
@@ -107,27 +105,13 @@ def _coerce(raw, target_type, key: str):
             if lowered in ("false", "no", "0"):
                 return False
             raise ValueError(text)
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        if target_type is str:
-            return text
-        if target_type is tuple or str(target_type).startswith("tuple"):
+        if target_type is tuple:
             return tuple(part.strip() for part in text.split(",") if part.strip())
+        return target_type(text)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} as {target_type}") from exc
-    raise ConfigError(f"{key}: unsupported value type {target_type}")
 
 
-_SECTIONS = {
-    "dataset": DatasetSettings,
-    "vocab": VocabSettings,
-    "encoder": EncoderSettings,
-    "pretrain": PretrainConfig,
-    "finetune": FinetuneConfig,
-}
-_TOP_LEVEL = {"seed": int}
 #: settings fields that are not keys of their own, and where their value comes from
 _NOT_KEYS = {
     "pretrain.seed": "set the run's seed with `seed`",
@@ -137,25 +121,24 @@ _NOT_KEYS = {
 }
 
 
+def _field_names(settings) -> set[str]:
+    return {f.name for f in fields(settings)} if is_dataclass(settings) else set()
+
+
 def apply_values(config: RunConfig, values: dict[str, object]) -> None:
-    """Apply dotted-key values onto a RunConfig in place; unknown keys raise."""
+    """Apply dotted-key values onto a RunConfig in place. A key is a path of
+    RunConfig fields (``seed``, ``section.field``) that ends at a value, not at
+    a section; any other key raises."""
     for key, raw in values.items():
-        if key in _TOP_LEVEL:
-            setattr(config, key, _coerce(raw, _TOP_LEVEL[key], key))
-            continue
         if key in _NOT_KEYS:
             raise ConfigError(f"{key} is not a config key; {_NOT_KEYS[key]}")
-        section_name, dot, attr = key.partition(".")
-        if not dot or section_name not in _SECTIONS:
+        *sections, attr = key.split(".")
+        target = config
+        for name in sections:
+            target = getattr(target, name) if name in _field_names(target) else None
+        if attr not in _field_names(target) or is_dataclass(getattr(target, attr)):
             raise ConfigError(f"unknown config key: {key}")
-        section_cls = _SECTIONS[section_name]
-        section_fields = {f.name: f for f in fields(section_cls)}
-        if attr not in section_fields:
-            raise ConfigError(f"unknown config key: {key}")
-        target = getattr(config, section_name)
-        current = getattr(target, attr)
-        target_type = type(current) if current is not None else str
-        setattr(target, attr, _coerce(raw, target_type, key))
+        setattr(target, attr, _coerce(raw, type(getattr(target, attr)), key))
 
 
 def _validate(config: RunConfig) -> None:
@@ -204,31 +187,44 @@ def _validate(config: RunConfig) -> None:
 
 
 def load_run_config(config_path=None, overrides: dict | None = None,
-                    dataset_dir=None) -> RunConfig:
+                    dataset_dir=None, ingested=None) -> RunConfig:
     """Assemble the effective configuration.
 
-    Profile defaults are selected by the (normalized) dataset name, then the
-    config file applies, then explicit overrides. Seeds flow into the trainer
-    configs so one ``seed`` value governs the whole run.
+    Layers, each over the one before: the defaults profile of the (normalized)
+    dataset name, the run's ingest record, the config file, explicit overrides.
+    ``ingested`` is a run's ``dataset.json``; it gives the dataset directory, a
+    profile name that ranks below overrides and above the config file, and the
+    ``vocab.min_freq`` that ``vocab.txt`` was built with, which no layer may
+    change. Seeds flow into the trainer configs so one ``seed`` value governs
+    the whole run.
     """
     config = RunConfig()
     file_values = parse_config_file(config_path) if config_path else {}
-    overrides = overrides or {}
+    overrides = {k: v for k, v in (overrides or {}).items() if v is not None}
+    record = {}
+    if ingested is not None:
+        with open(ingested, encoding="utf-8") as fh:
+            record = {"min_freq": 1, **json.load(fh)}  # older records lack min_freq
+        dataset_dir = record["dir"]
 
     if dataset_dir is not None:
         config.dataset.dir = str(dataset_dir)
-    name = (overrides.get("dataset.name") or file_values.get("dataset.name")
-            or (Path(config.dataset.dir).name if config.dataset.dir else ""))
-    profile_key = normalize_dataset_name(str(name))
-    config.dataset.name = profile_key
-    profile = DATASET_PROFILES.get(profile_key, {})
+    file_name = file_values.pop("dataset.name", "")
+    name = (overrides.pop("dataset.name", "") or record.get("name", "") or file_name
+            or Path(config.dataset.dir).name)
+    config.dataset.name = normalize_dataset_name(str(name))
 
-    apply_values(config, profile)
-    apply_values(config, {k: v for k, v in file_values.items() if k != "dataset.name"})
-    apply_values(config, {k: v for k, v in overrides.items()
-                          if k != "dataset.name" and v is not None})
+    ingest_layer = {"vocab.min_freq": record["min_freq"]} if record else {}
+    for values in (DATASET_PROFILES.get(config.dataset.name, {}), ingest_layer,
+                   file_values, overrides):
+        apply_values(config, values)
 
     config.pretrain.seed = config.seed
     config.finetune.seed = config.seed
     _validate(config)
+    if record and config.vocab.min_freq != record["min_freq"]:
+        raise ConfigError(
+            f"vocab.min_freq = {config.vocab.min_freq}, but {Path(ingested).parent} was "
+            f"ingested with vocab.min_freq = {record['min_freq']}; to change it, re-ingest "
+            f"with `kglp ingest --force` and re-run the stages after it")
     return config

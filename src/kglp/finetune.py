@@ -127,13 +127,10 @@ def joint_loss_with_grads(scores, diff_sums, labels, fp: FocalParams,
     l2 = np.where(pos, sig, 1.0 - sig)
 
     if cell_mask is None:
-        n_cells = scores.size
-        weight = np.full(scores.shape, 1.0 / n_cells)
-        l1_mean, l2_mean = l1.mean(), l2.mean()
-    else:
-        n_cells = int(cell_mask.sum())
-        weight = np.where(cell_mask, 1.0 / n_cells, 0.0)
-        l1_mean, l2_mean = l1[cell_mask].mean(), l2[cell_mask].mean()
+        cell_mask = np.ones(scores.shape, bool)
+    n_cells = int(cell_mask.sum())
+    weight = np.where(cell_mask, 1.0 / n_cells, 0.0)
+    l1_mean, l2_mean = l1[cell_mask].mean(), l2[cell_mask].mean()
     loss = float(((l1 + l2) * weight).sum())
 
     dl1_dp = np.where(

@@ -550,3 +550,105 @@ def test_manifests_record_the_loaded_checkpoint_encoder(cli_run, tmp_path, capsy
         "hidden_size": 32, "num_layers": 1, "num_heads": 4, "ff_size": 48,
         "max_len": 32, "dropout": 0.1}
     capsys.readouterr()
+
+
+def test_every_settings_field_is_a_key():
+    from dataclasses import fields, is_dataclass
+    from kglp.config import _NOT_KEYS, RunConfig
+
+    defaults = RunConfig()
+    keys = []
+    for section in fields(RunConfig):
+        value = getattr(defaults, section.name)
+        if not is_dataclass(value):
+            keys.append((section.name, value))
+            continue
+        keys += [(f"{section.name}.{f.name}", getattr(value, f.name))
+                 for f in fields(value) if f"{section.name}.{f.name}" not in _NOT_KEYS]
+    assert "seed" in dict(keys) and "finetune.label_splits" in dict(keys)
+    for key, value in keys:
+        text = ",".join(value) if isinstance(value, tuple) else str(value)
+        rc = load_run_config(None, {key: text})
+        owner = rc
+        for part in key.split(".")[:-1]:
+            owner = getattr(owner, part)
+        assert getattr(owner, key.split(".")[-1]) == value, key
+
+
+def test_sections_and_non_fields_are_not_keys(cli_dataset, tmp_path, capsys):
+    out = tmp_path / "o"
+    for key in ("encoder", "finetune.focal", "seed.x", "snapshot"):
+        assert main(["ingest", str(cli_dataset), "--out", str(out),
+                     "--set", f"{key}=1"]) == 2
+        assert f"unknown config key: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_resplit_unseen_resolves_the_run_config(cli_dataset, tmp_path, capsys):
+    def resplit(name, *extra):
+        out = tmp_path / name
+        assert main(["resplit-unseen", str(cli_dataset), "--out", str(out), *extra]) == 0
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\n")
+    by_flag = resplit("flag", "--seed", "5")
+    assert resplit("set", "--set", "seed=5") == by_flag
+    assert resplit("config", "--config", str(cfg)) == by_flag
+    assert resplit("default") != by_flag
+    capsys.readouterr()
+    bad = tmp_path / "bad"
+    assert main(["resplit-unseen", str(cli_dataset), "--out", str(bad),
+                 "--set", "no.such.key=1"]) == 2
+    assert "no.such.key" in capsys.readouterr().err
+    assert not bad.exists()
+
+
+def test_dataset_name_precedence_in_a_later_stage(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    ingested = json.loads((run / "dataset.json").read_text())["name"]
+    assert ingested not in ("wn18rr", "fb15k237")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dataset.name = fb15k237\n")
+
+    def evaluated_config(*extra):
+        assert main(["evaluate", "--out", str(run), "--split", "valid", "--force",
+                     *extra]) == 0
+        capsys.readouterr()
+        return json.loads((run / "manifest.evaluate.valid.json").read_text())["config"]
+
+    # the ingest record's name beats the config file's
+    config = evaluated_config("--config", str(cfg))
+    assert config["dataset"]["name"] == ingested
+    assert config["finetune"]["batch_size"] == 128
+    # a flag beats the ingest record; its profile's vocab.min_freq (3) does not
+    # beat the ingest record's (1)
+    config = evaluated_config("--config", str(cfg), "--set", "dataset.name=WN18RR")
+    assert config["dataset"]["name"] == "wn18rr"
+    assert config["finetune"]["batch_size"] == 64
+    assert config["vocab"]["min_freq"] == 1
+
+
+def test_mlm_only_flag_is_an_override():
+    args = cli.build_parser().parse_args(
+        ["pretrain", "--out", "x", "--set", "pretrain.mlm_only=false", "--mlm-only"])
+    assert cli._collect_overrides(args)["pretrain.mlm_only"] is True
+    args = cli.build_parser().parse_args(["pretrain", "--out", "x"])
+    assert "pretrain.mlm_only" not in cli._collect_overrides(args)
+
+
+def test_predict_k_below_1_exits_2(cli_run, capsys):
+    for k in ("0", "-2"):
+        assert main(["predict", "--out", str(cli_run), "--head", "a001",
+                     "--relation", "linksto", "-k", k]) == 2
+        captured = capsys.readouterr()
+        assert "-k" in captured.err and captured.out == ""
+
+
+def test_negative_threads_exits_2(cli_dataset, tmp_path, monkeypatch, capsys):
+    calls, _ = _fake_threadpoolctl(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["ingest", str(cli_dataset), "--out", str(out), "--threads", "-1"]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert calls == [] and not out.exists()

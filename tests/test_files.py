@@ -4,6 +4,7 @@ file byte for byte and no temporary file behind."""
 import builtins
 import json
 import os
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import kglp
 from kglp.cli import main, write_manifest
+from kglp.config import RunConfig
 from kglp.evaluate import RankingReport
 from kglp.files import atomic_write
 
@@ -62,9 +64,9 @@ def test_failed_report_and_manifest_writes_keep_old_files(tmp_path, monkeypatch)
     report_path = tmp_path / "report_test.json"
     report = RankingReport("test", 2, 0.5, 0.5, 1.0, 2.0, 0.75)
     report.save(report_path)
-    manifest_args = dict(command="evaluate", config_snapshot={}, inputs={},
+    manifest_args = dict(rc=RunConfig(), inputs={},
                          outputs={report_path.name: report_path}, metrics={},
-                         seed=0, elapsed=1.0)
+                         started=time.time())
     manifest_path = write_manifest(tmp_path, "evaluate.test", **manifest_args)
     old_report, old_manifest = report_path.read_bytes(), manifest_path.read_bytes()
     listing = sorted(os.listdir(tmp_path))
