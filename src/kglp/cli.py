@@ -263,6 +263,7 @@ def cmd_evaluate(args) -> int:
 
     metrics = {k: getattr(report, k) for k in ("hits1", "hits3", "hits10", "mr", "mrr")}
     metrics["n_queries"] = report.n_queries
+    metrics.update(report.phase_seconds)
     write_manifest(out_dir, f"evaluate.{args.split}", rc, inputs={"checkpoint": ckpt_path},
                    outputs={report_path.name: report_path}, metrics=metrics,
                    started=started)

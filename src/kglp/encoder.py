@@ -8,9 +8,11 @@ parameters live in a flat name -> array dict so the optimizer, checkpoints,
 and gradient checks can treat them uniformly.
 
 A pooled-only inference encode (``encode(..., pooled_only=True)``), which is
-what entity tables and query vectors use, keeps no backward caches and, in the
-last block, sends only the [CLS] rows through the output projection, the
-feed-forward layer and both layer norms. Its pooled vectors are bit-identical
+what entity tables and query vectors use, keeps no backward caches and runs
+the position-wise layers on real rows only: the embedding, the linears, GeLU
+and the layer norms see the (R, d) matrix of real positions, and only scores,
+softmax and context run on the padded (B, S) grid. The last block goes on past
+its attention with the [CLS] rows alone. Its pooled vectors are bit-identical
 to the full encode's.
 """
 
@@ -145,14 +147,15 @@ class Encoder:
         required when training with a nonzero dropout rate.
 
         ``pooled_only`` (inference only) returns the pooled vectors alone, with
-        ``token_states`` and the cache None. No block keeps a backward cache,
-        and the last block runs its attention full width but everything from
-        the output projection on for the [CLS] rows only. The pooled vectors
-        are bit-identical to the full forward's as long as BLAS gives a row of
-        a matrix-matrix product the same bits whatever the row count. A batch
-        of one row (or a sequence of one position) keeps full width, because
-        NumPy hands a one-row product to a matrix-vector kernel that sums in
-        another order.
+        ``token_states`` and the cache None. The real positions (mask 1, and
+        position 0) are gathered into an (R, d) matrix after the embedding
+        lookup, and the last block goes on past its attention with the [CLS]
+        rows only. The pooled vectors are bit-identical to the full forward's
+        as long as BLAS gives a row of a matrix-matrix product the same bits
+        whatever the row count. A batch of one, or a sequence of one position,
+        keeps the full forward's shapes: NumPy hands a one-row product to a
+        matrix-vector kernel that sums in another order, and for one sequence
+        the gathers cost more than the few PAD rows they skip.
         """
         cfg, p = self.config, self.params
         tokens = np.asarray(tokens)
@@ -177,18 +180,27 @@ class Encoder:
             raise ValueError("training-mode forward with dropout needs an rng")
 
         key_mask = mask.astype(bool)  # (B, S)
-        x = p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :]
+        rows = None
+        if pooled_only and B > 1 and S > 1:
+            real = key_mask.copy()
+            real[:, 0] = True
+            rows = np.nonzero(real)
+            x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows[1]]
+        else:
+            x = p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :]
         x, emb_ln_cache = L.layernorm_forward(x, p["emb_ln.g"], p["emb_ln.b"])
         x, emb_drop = L.dropout_forward(x, rate, rng, train)
 
         caches = []
         for i in range(cfg.num_layers):
-            cls_only = pooled_only and i == cfg.num_layers - 1 and B > 1 and S > 1
+            last = rows is not None and i == cfg.num_layers - 1
+            keep = np.flatnonzero(rows[1] == 0) if last else None  # the [CLS] rows
             x, blk_cache = self._block_forward(i, x, key_mask, rate, rng, train,
-                                               not pooled_only, cls_only)
+                                               not pooled_only, rows, keep)
             caches.append(blk_cache)
         if pooled_only:
-            return EncoderOutput(token_states=None, pooled=x if x.ndim == 2 else x[:, 0]), None
+            return EncoderOutput(token_states=None,
+                                 pooled=x[:, 0] if rows is None else x), None
 
         cache = {
             "tokens": tokens, "emb_ln": emb_ln_cache, "emb_drop": emb_drop,
@@ -197,36 +209,41 @@ class Encoder:
         return EncoderOutput(token_states=x, pooled=x[:, 0]), cache
 
     def _block_forward(self, i, x, key_mask, rate, rng, train, keep_cache=True,
-                       cls_only=False):
+                       rows=None, keep=None):
         """One post-norm block; returns (output, cache), the cache None unless
         ``keep_cache``.
 
-        With ``cls_only`` (which keeps no cache) the queries, keys, values,
-        scores, softmax and context stay full width, then the [CLS] rows of the
-        context and of the block input go on as one contiguous (B, d) matrix,
-        and the output is (B, d).
+        ``x`` is (B, S, d), or, with ``rows`` (which keeps no cache), the
+        (R, d) matrix of the grid positions ``rows`` (batch indices, position
+        indices). Then q, k and v are set into a zero (B, S) grid for scores,
+        softmax and context, the context is gathered back at ``rows``, and the
+        block goes on with the rows of ``x`` numbered ``keep`` (all of them
+        when None).
         """
         p = self.params
         d = self.config.hidden_size
         H = self.config.num_heads
         dh = d // H
-        B, S, _ = x.shape
+        B, S = key_mask.shape
 
         q, q_cache = L.linear_forward(x, p[f"blk{i}.attn.wq"], p[f"blk{i}.attn.bq"])
         k, k_cache = L.linear_forward(x, p[f"blk{i}.attn.wk"], p[f"blk{i}.attn.bk"])
         v, v_cache = L.linear_forward(x, p[f"blk{i}.attn.wv"], p[f"blk{i}.attn.bv"])
-        qh = q.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-        kh = k.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
-        vh = v.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+        qh, kh, vh = (_grid(t, rows, B, S).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+                      for t in (q, k, v))
 
         scores = (qh @ kh.transpose(0, 1, 3, 2)) / np.sqrt(dh).astype(x.dtype)
         scores = np.where(key_mask[:, None, None, :], scores, _NEG_INF)
         attn = L.softmax_last(scores)
         attn_d, attn_drop = L.dropout_forward(attn, rate, rng, train)
 
-        ctx = (attn_d @ vh).transpose(0, 2, 1, 3).reshape(B, S, d)
-        if cls_only:
-            x, ctx = np.ascontiguousarray(x[:, 0]), np.ascontiguousarray(ctx[:, 0])
+        ctx = (attn_d @ vh).transpose(0, 2, 1, 3)
+        if rows is None:
+            ctx = ctx.reshape(B, S, d)
+        else:
+            if keep is not None:
+                x, rows = x[keep], (rows[0][keep], rows[1][keep])
+            ctx = ctx[rows].reshape(-1, d)
         out, out_cache = L.linear_forward(ctx, p[f"blk{i}.attn.wo"], p[f"blk{i}.attn.bo"])
         out, out_drop = L.dropout_forward(out, rate, rng, train)
         h1, ln1_cache = L.layernorm_forward(x + out, p[f"blk{i}.ln1.g"], p[f"blk{i}.ln1.b"])
@@ -393,6 +410,16 @@ class Encoder:
     def load_params(self, params: dict, buffers: dict) -> None:
         self.params = {k: v.copy() for k, v in params.items()}
         self.buffers = {k: v.copy() for k, v in buffers.items()}
+
+
+def _grid(t: np.ndarray, rows, B: int, S: int) -> np.ndarray:
+    """``t`` as a (B, S, d) grid: itself when ``rows`` is None, else its rows
+    set at the grid positions ``rows`` and zeros elsewhere."""
+    if rows is None:
+        return t
+    grid = np.zeros((B, S, t.shape[-1]), dtype=t.dtype)
+    grid[rows] = t
+    return grid
 
 
 def _add(grads: dict, name: str, g: np.ndarray) -> None:

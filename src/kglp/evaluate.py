@@ -11,8 +11,17 @@ Entity embeddings are computed once per evaluation (one encoder pass per
 catalog entity), which is the payoff of the Siamese split: scoring a query
 against the whole catalog is a single matrix product. Entity and query vectors
 come from the encoder's pooled-only mode, which keeps no backward caches and
-runs the last block past its attention for the [CLS] rows only; the vectors
-are bit-identical to a full encode's (see ``Encoder.forward``).
+runs the position-wise layers on real token rows only; the vectors are
+bit-identical to a full encode's (see ``Encoder.forward``). Layouts are encoded
+in stable length order, so short entities share narrow batches, and each
+batch's vectors are written into a table in catalog order. A vector does not
+depend on the batch it is encoded in, because a batch keeps ``trim_width``'s
+multiple-of-8 width: NumPy sums a softmax row in 8-lane blocks, and the zero
+weights of PAD keys past the real length leave those sums unchanged only up to
+a multiple of 8. That holds for widths up to 128, NumPy's pairwise-summation
+block; past it a vector's last bits can depend on its batch's width.
+``evaluate`` times its three phases (entity table, query encodes, ranking) in
+``RankingReport.phase_seconds``.
 
 An entity table is checked finite and normalised to unit rows once per table,
 not once per query: ``precompute_entity_embeddings`` returns a read-only array,
@@ -24,6 +33,7 @@ checked and normalised again on every call.
 from __future__ import annotations
 
 import json
+import time
 import weakref
 from dataclasses import dataclass, field
 
@@ -57,6 +67,9 @@ class RankingReport:
     mr: float
     mrr: float
     per_query: list[dict] = field(default_factory=list)
+    #: wall seconds of the entity table, the query encodes and the ranking;
+    #: not part of ``to_dict``
+    phase_seconds: dict = field(default_factory=dict, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -99,12 +112,17 @@ def precompute_entity_embeddings(encoder: Encoder, cat: TokenizedCatalog,
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
-    """Pooled vectors of layouts, ``batch_size`` at a time, through the
-    pooled-only encode: bit-identical to the [CLS] rows of a full encode."""
-    rows = [encoder.encode(*stack_layouts(layouts[start:start + batch_size]),
-                           pooled_only=True).pooled
-            for start in range(0, len(layouts), batch_size)]
-    return np.concatenate(rows, axis=0)
+    """Pooled vectors of layouts, in their order, through the pooled-only
+    encode: bit-identical to the [CLS] rows of a full encode. Layouts go
+    ``batch_size`` at a time in stable length order, so that short ones share
+    narrow batches, and each batch's rows are written into the result."""
+    order = np.argsort([l.length for l in layouts], kind="stable")
+    pooled = np.empty((len(layouts), encoder.config.hidden_size))
+    for start in range(0, len(layouts), batch_size):
+        batch = order[start:start + batch_size]
+        pooled[batch] = encoder.encode(*stack_layouts([layouts[i] for i in batch]),
+                                       pooled_only=True).pooled
+    return pooled
 
 
 #: (weak reference to the last read-only table, its unit rows)
@@ -201,11 +219,14 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
         filter_index = build_filter_index(kg)
 
     queries = queries_for_split(kg, split)
+    phases = dict.fromkeys(("entity_table_s", "query_encode_s", "rank_s"), 0.0)
     if not queries:
         return RankingReport(split=split, n_queries=0, hits1=0.0, hits3=0.0,
-                             hits10=0.0, mr=0.0, mrr=0.0)
+                             hits10=0.0, mr=0.0, mrr=0.0, phase_seconds=phases)
+    started = time.perf_counter()
     table = precompute_entity_embeddings(encoder, cat, entity_max_len, batch_size)
     table_unit = table_unit_rows(table)
+    phases["entity_table_s"] = time.perf_counter() - started
 
     pair_layouts = [assemble_pair(cat, q.entity, q.relation, pair_max_len)
                     for q in queries]
@@ -214,6 +235,7 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
     for start in range(0, len(queries), batch_size):
         chunk = queries[start:start + batch_size]
         scores = query_scores(encoder, pair_layouts[start:start + batch_size], table_unit)
+        ranked = time.perf_counter()
         for j, q in enumerate(chunk):
             rank = rank_from_scores(scores[j], q.gold,
                                     filter_index.tails((q.entity, q.relation)))
@@ -221,7 +243,10 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
             if collect_per_query:
                 per_query.append({"entity": q.entity, "relation": q.relation,
                                   "gold": q.gold, "rank": int(rank)})
+        phases["rank_s"] += time.perf_counter() - ranked
 
+    # the rest: pair layouts, query encodes and their scores
+    phases["query_encode_s"] = time.perf_counter() - started - sum(phases.values())
     agg = aggregate_ranks(ranks)
     return RankingReport(split=split, n_queries=len(queries), per_query=per_query,
-                         **agg)
+                         phase_seconds=phases, **agg)

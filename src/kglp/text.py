@@ -233,6 +233,19 @@ def assemble_entity(cat: TokenizedCatalog, entity: int, max_len: int) -> Sequenc
     ], max_len)
 
 
+def layout_lengths(cat: TokenizedCatalog, max_len: int, heads=None,
+                   relations=None) -> np.ndarray:
+    """Real lengths of the layouts ``assemble_entity`` builds for every catalog
+    entity or, given ``heads`` and ``relations``, that ``assemble_pair`` builds
+    for those keys; counted from the token lists, with no layout built."""
+    entity = np.array([len(e) + len(d) for e, d in
+                       zip(cat.entity_tokens, cat.entity_desc_tokens)], dtype=np.int64)
+    if heads is None:
+        return np.minimum(max_len, 2 + entity)
+    relation = np.array([len(r) for r in cat.relation_tokens], dtype=np.int64)
+    return np.minimum(max_len, 3 + entity[heads] + relation[relations])
+
+
 def trim_width(lengths, cap: int) -> int:
     """Batch width: the longest real length rounded up to a multiple of 8,
     capped at the layout length ``cap``.

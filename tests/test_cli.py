@@ -326,6 +326,47 @@ def test_evaluate_is_deterministic(cli_run):
     assert first == second
 
 
+def test_evaluate_manifest_records_phase_timings(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    assert main(["evaluate", "--out", str(run), "--split", "test", "--force"]) == 0
+    capsys.readouterr()
+    metrics = json.loads((run / "manifest.evaluate.test.json").read_text())["metrics"]
+    for key in ("entity_table_s", "query_encode_s", "rank_s"):
+        assert isinstance(metrics[key], float) and metrics[key] >= 0.0
+    # the report itself carries no timings
+    report = json.loads((run / "report_test.json").read_text())
+    assert set(report) == {"split", "n_queries", "hits1", "hits3", "hits10", "mr",
+                           "mrr", "per_query"}
+
+
+def test_finetune_refuses_widths_the_checkpoint_cannot_hold(tmp_path, capsys):
+    # 30-word descriptions make pair layouts 64 tokens long at pair_max_len=64,
+    # past a checkpoint pre-trained with encoder.max_len=32
+    dataset = make_pair_dataset(tmp_path / "ds", n_pairs=30, seed=4)
+    names = [line.split("\t")[0]
+             for line in (dataset / "entity2text.tsv").read_text().splitlines()]
+    words = " ".join(f"word{i}" for i in range(30))
+    (dataset / "entity2textlong.tsv").write_text(
+        "".join(f"{name}\t{words}\n" for name in names))
+    out = tmp_path / "run"
+    assert main(["ingest", str(dataset), "--out", str(out)]) == 0
+    assert main(["pretrain", "--out", str(out), "--seed", "3",
+                 "--set", "pretrain.epochs=1", "--set", "pretrain.batch_size=16",
+                 *SMALL]) == 0
+    capsys.readouterr()
+    finetune = ["finetune", "--out", str(out), "--set", "finetune.epochs=1",
+                "--set", "finetune.batch_size=16"]
+    for key, widths in (("pair_max_len", ["finetune.pair_max_len=64"]),
+                        ("entity_max_len", ["finetune.pair_max_len=32",
+                                            "finetune.entity_max_len=48"])):
+        assert main([*finetune, *(a for w in widths for a in ("--set", w))]) == 2
+        err = capsys.readouterr().err
+        assert f"finetune.{key}" in err and "max_len is 32" in err
+        assert not (out / "finetune_log.jsonl").exists()
+        assert not (out / "finetune.npz").exists()
+
+
 def test_predict_known_head(cli_run, capsys):
     assert main(["predict", "--out", str(cli_run), "--head", "a001",
                  "--relation", "linksto", "-k", "3"]) == 0

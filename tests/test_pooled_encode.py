@@ -2,11 +2,14 @@
 
 Entity tables, query vectors and ranks from the pooled-only mode must equal,
 bit for bit, what a forward that runs every position through every layer
-gives; a batch of one keeps full width.
+gives. The pooled-only mode runs real rows only; a batch of one keeps full
+width.
 """
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import kglp
 from kglp import layers
@@ -16,7 +19,7 @@ from kglp.evaluate import (evaluate, precompute_entity_embeddings, queries_for_s
 from kglp.text import TokenizedCatalog, assemble_entity, assemble_pair
 
 from util import (reference_encode_pooled, reference_encode_states,
-                  reference_unit_rows)
+                  reference_stack_layouts, reference_unit_rows, write_dataset)
 
 
 def small_encoder(vocab_size, num_layers, seed=0):
@@ -78,10 +81,40 @@ def test_last_block_runs_cls_rows_only_past_attention(rng, monkeypatch, n, cls_r
 
     monkeypatch.setattr(layers, "linear_forward", spy)
     enc.encode(tokens, mask, pooled_only=True)
-    # q, k, v full width; then attn.wo, ff.w1, ff.w2
-    assert shapes[:3] == [(n, 16, 32)] * 3
+    # q, k, v on the real rows; then attn.wo, ff.w1, ff.w2 on the [CLS] rows.
+    # A batch of one keeps full width.
+    assert shapes[:3] == [(int(mask.sum()), 32) if cls_rows else (n, 16, 32)] * 3
     assert shapes[3:] == ([(n, 32), (n, 32), (n, 48)] if cls_rows else
                           [(n, 16, 32), (n, 16, 32), (n, 16, 48)])
+
+
+@st.composite
+def length_batches(draw):
+    """(batch size, width, real lengths 1..width, token seed)."""
+    n = draw(st.sampled_from([1, 2, 7, 256]))
+    s = draw(st.integers(1, 32))
+    lengths = draw(st.lists(st.integers(1, s), min_size=n, max_size=n))
+    return n, s, lengths, draw(st.integers(0, 2**32 - 1))
+
+
+_ENCODERS = {}
+
+
+@settings(max_examples=80, deadline=None)
+@given(num_layers=st.sampled_from([1, 2]), batch=length_batches())
+@example(num_layers=2, batch=(1, 16, [1], 0))  # one real token in the batch
+@example(num_layers=2, batch=(7, 1, [1] * 7, 0))
+@example(num_layers=1, batch=(2, 32, [1, 32], 0))
+def test_pooled_only_equals_reference_for_any_lengths(num_layers, batch):
+    n, s, lengths, seed = batch
+    if num_layers not in _ENCODERS:
+        _ENCODERS[num_layers] = small_encoder(60, num_layers, seed=5)
+    enc = _ENCODERS[num_layers]
+    mask = (np.arange(s)[None, :] < np.array(lengths)[:, None]).astype(np.int8)
+    tokens = np.random.default_rng(seed).integers(5, 60, size=(n, s)) * mask
+    tokens[:, 0] = 2
+    pooled = enc.encode(tokens, mask, pooled_only=True).pooled
+    assert np.array_equal(pooled, reference_encode_states(enc, tokens, mask)[:, 0])
 
 
 @pytest.mark.parametrize("pooled_only", [False, True])
@@ -120,3 +153,44 @@ def test_table_scores_and_ranks_match_reference(pair_kg, pair_vocab, num_layers,
     report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
                       entity_max_len=12, batch_size=batch_size)
     assert [q["rank"] for q in report.per_query] == ranks
+
+
+@pytest.fixture(scope="module")
+def straddling_catalog(tmp_path_factory):
+    """A catalog whose entity layouts are 3 to 19 tokens long, in an order that
+    mixes short and long ones."""
+    words = [f"w{chr(97 + i)}" for i in range(17)]
+    names = {f"e{i:02d}": " ".join(words[:(i * 7) % 17 + 1]) for i in range(40)}
+    rows = [(f"e{i:02d}", "r", f"e{(i + 1) % 40:02d}") for i in range(40)]
+    directory = write_dataset(tmp_path_factory.mktemp("straddle"),
+                              {"train": rows[:30], "valid": rows[30:35],
+                               "test": rows[35:]},
+                              names, None, {"r": "relates to"})
+    kg = kglp.augment_inverse(kglp.load_dataset(directory))
+    return TokenizedCatalog(kg, kglp.build_vocab(kg, min_freq=1))
+
+
+def _widths(layouts, batch_size):
+    """Each layout's batch width, batched in the given order."""
+    return [reference_stack_layouts(layouts[s:s + batch_size])[0].shape[1]
+            for s in range(0, len(layouts), batch_size)
+            for _ in layouts[s:s + batch_size]]
+
+
+@pytest.mark.parametrize("num_layers", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 2, 7, 256])
+def test_length_sorted_table_matches_catalog_order_reference(straddling_catalog,
+                                                             num_layers, batch_size):
+    cat = straddling_catalog
+    layouts = [assemble_entity(cat, e, 32) for e in range(cat.kg.num_entities)]
+    lengths = sorted({l.length for l in layouts})
+    assert lengths[0] < 8 < lengths[-1] and lengths[-1] > 16
+    if batch_size in (2, 7):
+        # sorting puts some entities into batches of another width
+        order = np.argsort([l.length for l in layouts], kind="stable")
+        by_length = dict(zip(order.tolist(),
+                             _widths([layouts[i] for i in order], batch_size)))
+        assert [by_length[i] for i in range(len(layouts))] != _widths(layouts, batch_size)
+    enc = small_encoder(cat.vocab.size, num_layers, seed=3)
+    table = precompute_entity_embeddings(enc, cat, 32, batch_size=batch_size)
+    assert np.array_equal(table, reference_encode_pooled(enc, layouts, batch_size))

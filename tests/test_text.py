@@ -6,8 +6,8 @@ import kglp
 from kglp.text import (CLS_ID, NUM_RESERVED, PAD_ID, RESERVED_TOKENS,
                        SEP_ID, UNK_ID, TokenizedCatalog, Vocabulary,
                        assemble_entity, assemble_pair, assemble_pair_tokens,
-                       assemble_triple, build_vocab, split_words, tokenize,
-                       trim_width)
+                       assemble_triple, build_vocab, layout_lengths, split_words,
+                       tokenize, trim_width)
 
 from util import write_dataset
 
@@ -231,6 +231,11 @@ def test_assembled_sequences_respect_length_and_mask(tmp_path_factory, h_name,
         # identical inputs yield identical ids
         again = assemble_triple(cat, 0, 0, 1, max_len)
         assert (again.tokens == assemble_triple(cat, 0, 0, 1, max_len).tokens).all()
+    # the lengths counted from the token lists are the built layouts' lengths
+    assert layout_lengths(cat, max_len, [0, 1], [0, 0]).tolist() == [
+        assemble_pair(cat, h, 0, max_len).length for h in (0, 1)]
+    assert layout_lengths(cat, max_len).tolist() == [
+        assemble_entity(cat, e, max_len).length for e in (0, 1)]
 
 
 @settings(max_examples=200, deadline=None)
