@@ -40,7 +40,7 @@ from .finetune import run_finetune
 from .optim import TrainingDiverged
 from .pretrain import run_pretraining
 from .text import (TokenizedCatalog, Vocabulary, assemble_pair, assemble_pair_tokens,
-                   build_vocab, tokenize)
+                   build_vocab, check_widths, tokenize)
 
 
 class ArtifactError(Exception):
@@ -327,6 +327,8 @@ def cmd_predict(args) -> int:
         layout = assemble_pair_tokens(tokenize(args.head, vocab), [], relation,
                                       cat, pair_max_len)
         filter_key = None
+    check_widths(encoder.config.max_len,
+                 ("finetune.pair_max_len", pair_max_len, [layout.length]))
 
     scores = query_scores(encoder, [layout], table_unit_rows(table))[0]
     if not np.isfinite(scores).all():

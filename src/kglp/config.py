@@ -15,6 +15,7 @@ from pathlib import Path
 from .data import SPLITS
 from .encoder import EncoderConfig
 from .finetune import FinetuneConfig
+from .optim import check_schedule
 from .pretrain import PretrainConfig
 
 
@@ -142,25 +143,22 @@ def apply_values(config: RunConfig, values: dict[str, object]) -> None:
 
 
 def _validate(config: RunConfig) -> None:
-    # the encoder config and the focal parameters check their own ranges; any
-    # valid vocabulary size stands in for the one ingest finds
-    for section, build in (("encoder", lambda: config.encoder.build(vocab_size=1)),
-                           ("finetune", config.finetune.focal)):
+    # the encoder config, the focal parameters and each training schedule check
+    # their own ranges; any valid vocabulary size stands in for the one ingest finds
+    for section, check in (("encoder", lambda: config.encoder.build(vocab_size=1)),
+                           ("finetune", config.finetune.focal),
+                           ("pretrain", lambda: check_schedule(config.pretrain)),
+                           ("finetune", lambda: check_schedule(config.finetune))):
         try:
-            build()
+            check()
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
     checks = [
         (config.vocab.min_freq >= 1, "vocab.min_freq must be >= 1"),
         (config.pretrain.patience >= 1, "pretrain.patience must be >= 1"),
         (config.pretrain.max_len >= 16, "pretrain.max_len must be >= 16"),
-        (config.pretrain.max_len <= config.encoder.max_len,
-         "pretrain.max_len cannot exceed encoder.max_len"),
         (config.finetune.pair_max_len >= 16, "finetune.pair_max_len must be >= 16"),
         (config.finetune.entity_max_len >= 8, "finetune.entity_max_len must be >= 8"),
-        (max(config.finetune.pair_max_len, config.finetune.entity_max_len)
-         <= config.encoder.max_len,
-         "finetune sequence lengths cannot exceed encoder.max_len"),
         (config.finetune.negative_mode in ("in_batch", "uniform_k"),
          "finetune.negative_mode must be 'in_batch' or 'uniform_k'"),
         (config.finetune.num_negatives >= 1, "finetune.num_negatives must be >= 1"),
@@ -169,18 +167,6 @@ def _validate(config: RunConfig) -> None:
          f"finetune.label_splits must name splits among {', '.join(SPLITS)}"),
         (config.seed >= 0, "seed must be >= 0"),
     ]
-    for name in ("pretrain", "finetune"):
-        section = getattr(config, name)
-        checks += [
-            (section.epochs >= 1, f"{name}.epochs must be >= 1"),
-            (section.batch_size >= 1, f"{name}.batch_size must be >= 1"),
-            (section.lr_linear > 0 and section.lr_attention > 0,
-             f"{name} learning rates must be positive"),
-            (0.0 <= section.warmup_frac < 1.0, f"{name}.warmup_frac must be in [0, 1)"),
-            (section.clip_norm >= 0.0, f"{name}.clip_norm must be >= 0 (0 disables it)"),
-            (section.weight_decay >= 0.0, f"{name}.weight_decay must be >= 0"),
-            (section.log_every >= 1, f"{name}.log_every must be >= 1"),
-        ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)

@@ -18,8 +18,8 @@ batch's vectors are written into a table in catalog order. A vector does not
 depend on the batch it is encoded in, because a batch keeps ``trim_width``'s
 multiple-of-8 width: NumPy sums a softmax row in 8-lane blocks, and the zero
 weights of PAD keys past the real length leave those sums unchanged only up to
-a multiple of 8. That holds for widths up to 128, NumPy's pairwise-summation
-block; past it a vector's last bits can depend on its batch's width.
+a multiple of 8. Past 128, NumPy's pairwise-summation block, no such width
+exists, so when the layout length is above 128 every batch keeps that length.
 ``evaluate`` times its three phases (entity table, query encodes, ranking) in
 ``RankingReport.phase_seconds``.
 
@@ -44,7 +44,7 @@ from .encoder import Encoder
 from .files import atomic_write
 from .layers import unit_rows
 from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
-                   stack_layouts)
+                   check_widths, layout_lengths, stack_layouts)
 
 
 @dataclass(frozen=True)
@@ -223,6 +223,12 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
     if not queries:
         return RankingReport(split=split, n_queries=0, hits1=0.0, hits3=0.0,
                              hits10=0.0, mr=0.0, mrr=0.0, phase_seconds=phases)
+    heads, relations = np.array([(q.entity, q.relation) for q in queries]).T
+    check_widths(encoder.config.max_len,
+                 ("finetune.pair_max_len", pair_max_len,
+                  layout_lengths(cat, pair_max_len, heads, relations)),
+                 ("finetune.entity_max_len", entity_max_len,
+                  layout_lengths(cat, entity_max_len)))
     started = time.perf_counter()
     table = precompute_entity_embeddings(encoder, cat, entity_max_len, batch_size)
     table_unit = table_unit_rows(table)

@@ -27,7 +27,7 @@ from .layers import clip_global_norm, unit_rows
 from .optim import AdamW, TrainingDiverged, run_epochs
 from .evaluate import evaluate as evaluate_ranking
 from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
-                   layout_lengths, stack_layouts, trim_width)
+                   check_widths, layout_lengths, stack_layouts)
 
 logger = logging.getLogger(__name__)
 
@@ -275,33 +275,19 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
                               grad_norm=grad_norm)
 
 
-def check_batch_widths(cat: TokenizedCatalog, config: FinetuneConfig,
-                       max_len: int) -> None:
-    """Refuse (ValueError naming the key) a run whose widest pair batch, over
-    the train and valid keys, or entity batch, over the catalog, is wider than
-    the encoder's ``max_len``."""
-    splits = cat.kg.splits
-    heads, relations = np.concatenate([splits["train"].array,
-                                       splits["valid"].array])[:, :2].T
-    for key, cap, lengths in (
-            ("pair_max_len", config.pair_max_len,
-             layout_lengths(cat, config.pair_max_len, heads, relations)),
-            ("entity_max_len", config.entity_max_len,
-             layout_lengths(cat, config.entity_max_len))):
-        width = trim_width(lengths, cap) if lengths.size else 0
-        if width > max_len:
-            raise ValueError(
-                f"finetune.{key}={cap} builds batches {width} tokens wide, but the "
-                f"encoder (checkpoint) max_len is {max_len}; set finetune.{key} "
-                f"to at most {max_len}")
-
-
 def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
                  config: FinetuneConfig, log_path=None) -> list[dict]:
     """Fine-tune in place; model selection by validation Hits@10; returns history."""
+    if config.eval_every < 1:
+        raise ValueError("eval_every must be >= 1")
     cat = TokenizedCatalog(kg, vocab)
-    check_batch_widths(cat, config, encoder.config.max_len)
     train = kg.splits["train"]
+    heads, relations = np.concatenate([train.array, kg.splits["valid"].array])[:, :2].T
+    check_widths(encoder.config.max_len,
+                 ("finetune.pair_max_len", config.pair_max_len,
+                  layout_lengths(cat, config.pair_max_len, heads, relations)),
+                 ("finetune.entity_max_len", config.entity_max_len,
+                  layout_lengths(cat, config.entity_max_len)))
     label_filter = build_filter_index(kg, config.label_splits)
     eval_filter = build_filter_index(kg)
 

@@ -23,7 +23,8 @@ from .encoder import Encoder
 from .layers import clip_global_norm, per_row_nll
 from .optim import AdamW, TrainingDiverged, run_epochs
 from .sampling import PretrainSample, build_pretrain_sample, derive_rng
-from .text import PAD_ID, TokenizedCatalog, Vocabulary, stack_trimmed
+from .text import (PAD_ID, TokenizedCatalog, Vocabulary, check_widths, layout_lengths,
+                   stack_trimmed)
 
 # rng stream tags so shuffling, masking, dropout, and validation never collide
 _SHUFFLE, _SAMPLE, _DROPOUT, _VALID = 1, 2, 3, 4
@@ -171,6 +172,9 @@ def run_pretraining(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
     cat = TokenizedCatalog(kg, vocab)
     train = kg.splits["train"]
     valid = kg.splits["valid"]
+    check_widths(encoder.config.max_len,
+                 ("pretrain.max_len", config.max_len, layout_lengths(
+                     cat, config.max_len, *np.concatenate([train.array, valid.array]).T)))
 
     def step(epoch, ids, optimizer, lr_scale, dropout_rng):
         samples = [

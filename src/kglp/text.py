@@ -34,6 +34,10 @@ NUM_RESERVED = len(RESERVED_TOKENS)
 
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
+#: NumPy's pairwise-summation block: a longer sum splits at a point that depends
+#: on its length, so past it a batch keeps its full layout length (``trim_width``)
+_PAIRWISE_BLOCK = 128
+
 
 def split_words(text: str) -> list[str]:
     """Lowercase and split on whitespace/punctuation; punctuation is dropped."""
@@ -234,26 +238,42 @@ def assemble_entity(cat: TokenizedCatalog, entity: int, max_len: int) -> Sequenc
 
 
 def layout_lengths(cat: TokenizedCatalog, max_len: int, heads=None,
-                   relations=None) -> np.ndarray:
+                   relations=None, tails=None) -> np.ndarray:
     """Real lengths of the layouts ``assemble_entity`` builds for every catalog
     entity or, given ``heads`` and ``relations``, that ``assemble_pair`` builds
-    for those keys; counted from the token lists, with no layout built."""
+    for those keys, or, given ``tails`` too, that ``assemble_triple`` builds for
+    those triples; counted from the token lists, with no layout built."""
     entity = np.array([len(e) + len(d) for e, d in
                        zip(cat.entity_tokens, cat.entity_desc_tokens)], dtype=np.int64)
     if heads is None:
         return np.minimum(max_len, 2 + entity)
     relation = np.array([len(r) for r in cat.relation_tokens], dtype=np.int64)
-    return np.minimum(max_len, 3 + entity[heads] + relation[relations])
+    pair = 3 + entity[heads] + relation[relations]
+    return np.minimum(max_len, pair if tails is None else 1 + pair + entity[tails])
 
 
 def trim_width(lengths, cap: int) -> int:
     """Batch width: the longest real length rounded up to a multiple of 8,
-    capped at the layout length ``cap``.
+    capped at the layout length ``cap``; ``cap`` itself past ``_PAIRWISE_BLOCK``.
 
     Cutting a batch to this width drops only PAD columns, which the encoder
     ignores (its outputs are padding-invariant).
     """
+    if cap > _PAIRWISE_BLOCK:
+        return cap
     return min(cap, -(-max(lengths) // 8) * 8)
+
+
+def check_widths(max_len: int, *kinds) -> None:
+    """Refuse (ValueError naming the key) batches wider than an encoder's
+    ``max_len``. Each kind is ``(key, cap, lengths)``: the config key that sets
+    the layout length ``cap``, and the real lengths of the layouts to encode."""
+    for key, cap, lengths in kinds:
+        width = trim_width(lengths, cap) if len(lengths) else 0
+        if width > max_len:
+            raise ValueError(
+                f"{key}={cap} builds batches {width} tokens wide, but the encoder "
+                f"(checkpoint) max_len is {max_len}; set {key} to at most {max_len}")
 
 
 def stack_trimmed(lengths, rows) -> list[np.ndarray]:

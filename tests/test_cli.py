@@ -367,6 +367,81 @@ def test_finetune_refuses_widths_the_checkpoint_cannot_hold(tmp_path, capsys):
         assert not (out / "finetune.npz").exists()
 
 
+LONG_TEXT = " ".join(f"word{i}" for i in range(30))
+
+
+def _long_description_dataset(directory):
+    """The CLI pair dataset with 30-word descriptions: its pair layouts need
+    batches 40 tokens wide."""
+    dataset = make_pair_dataset(directory, n_pairs=30, seed=4)
+    names = [line.split("\t")[0]
+             for line in (dataset / "entity2text.tsv").read_text().splitlines()]
+    (dataset / "entity2textlong.tsv").write_text(
+        "".join(f"{name}\t{LONG_TEXT}\n" for name in names))
+    return dataset
+
+
+def test_evaluate_and_predict_refuse_widths_the_checkpoint_cannot_hold(tmp_path,
+                                                                       capsys):
+    # fine-tuned at 32-token widths; evaluate and predict then take the default
+    # finetune.pair_max_len=96, and the pair layouts need 40-token batches
+    out = tmp_path / "run"
+    assert main(["ingest", str(_long_description_dataset(tmp_path / "ds")),
+                 "--out", str(out)]) == 0
+    assert main(["finetune", "--out", str(out), "--checkpoint", "none",
+                 "--set", "finetune.epochs=1", "--set", "finetune.batch_size=16",
+                 *SMALL]) == 0
+    capsys.readouterr()
+    for command in (["evaluate", "--split", "test"],
+                    ["predict", "--head", "a001", "--relation", "linksto"],
+                    ["predict", "--head", LONG_TEXT, "--relation", "linksto"]):
+        assert main([*command, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "finetune.pair_max_len=96" in captured.err
+        assert "max_len is 32" in captured.err
+        assert captured.out == ""
+    assert not (out / "report_test.json").exists()
+    assert not (out / "manifest.evaluate.test.json").exists()
+    # the named key is the way out
+    assert main(["evaluate", "--split", "test", "--out", str(out),
+                 "--set", "finetune.pair_max_len=32"]) == 0
+    assert (out / "report_test.json").is_file()
+
+
+def test_finetune_ignores_the_config_encoder_width(cli_run, tmp_path, capsys):
+    # the checkpoint's encoder runs; encoder.max_len=16 in the config is not
+    # compared with any stage's widths
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    assert main(["finetune", "--out", str(run), "--seed", "3", "--force",
+                 "--set", "finetune.epochs=1", "--set", "finetune.batch_size=16",
+                 "--set", "encoder.max_len=16"]) == 0
+    capsys.readouterr()
+    manifest = json.loads((run / "manifest.finetune.json").read_text())
+    assert manifest["config"]["encoder"]["max_len"] == 32
+
+
+def test_pretrain_checks_triple_widths_against_the_encoder(cli_dataset, tmp_path,
+                                                           capsys):
+    pretrain = ["pretrain", "--set", "pretrain.epochs=1",
+                "--set", "pretrain.batch_size=16", *SMALL,
+                "--set", "pretrain.max_len=64"]
+    out = tmp_path / "long"
+    assert main(["ingest", str(_long_description_dataset(tmp_path / "ds")),
+                 "--out", str(out)]) == 0
+    assert main([*pretrain, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "pretrain.max_len=64" in err and "max_len is 32" in err
+    assert not (out / "pretrain_log.jsonl").exists()
+    assert not (out / "pretrain.npz").exists()
+    # short texts fit a 32-position encoder at any pretrain.max_len
+    out = tmp_path / "short"
+    assert main(["ingest", str(cli_dataset), "--out", str(out)]) == 0
+    assert main([*pretrain, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert (out / "pretrain.npz").is_file()
+
+
 def test_predict_known_head(cli_run, capsys):
     assert main(["predict", "--out", str(cli_run), "--head", "a001",
                  "--relation", "linksto", "-k", "3"]) == 0

@@ -1,6 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
+import kglp
+from kglp.config import ConfigError, load_run_config
 from kglp.layers import clip_global_norm
 from kglp.optim import AdamW, warmup_linear_decay
 
@@ -141,3 +145,35 @@ def test_clip_global_norm_matches_float64_copy_reference(dtype):
     for k in grads:
         np.testing.assert_allclose(grads[k], ref[k],
                                    rtol=1e-12 + 2 * np.finfo(dtype).eps, atol=0)
+
+
+_BAD_SCHEDULES = [("epochs", 0), ("batch_size", 0), ("lr_linear", 0.0),
+                  ("lr_attention", -1e-5), ("warmup_frac", 1.0), ("clip_norm", -1.0),
+                  ("weight_decay", -0.01), ("log_every", 0)]
+
+
+def _run_stage(stage, kg, vocab, log_path, **settings):
+    """Run one training stage for an epoch on a 32-position encoder."""
+    encoder = kglp.Encoder(kglp.EncoderConfig(vocab_size=vocab.size, hidden_size=32,
+                                              num_layers=1, ff_size=48, max_len=32))
+    if stage == "pretrain":
+        config = kglp.PretrainConfig(**{"epochs": 1, "batch_size": 64, "max_len": 32,
+                                        **settings})
+        return kglp.run_pretraining(kg, vocab, encoder, config, log_path=log_path)
+    config = kglp.FinetuneConfig(**{"epochs": 1, "batch_size": 64, "pair_max_len": 32,
+                                    "entity_max_len": 16, **settings})
+    return kglp.run_finetune(kg, vocab, encoder, config, log_path=log_path)
+
+
+@pytest.mark.parametrize("stage, field, value", [
+    *((stage, field, value) for stage in ("pretrain", "finetune")
+      for field, value in _BAD_SCHEDULES),
+    ("pretrain", "patience", 0), ("finetune", "eval_every", 0)])
+def test_runs_refuse_what_the_config_refuses(pair_kg, pair_vocab, tmp_path, stage,
+                                             field, value):
+    with pytest.raises(ConfigError, match=re.escape(f"{stage}.{field} must be")):
+        load_run_config(None, {f"{stage}.{field}": str(value)})
+    log_path = tmp_path / "log.jsonl"
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        _run_stage(stage, pair_kg, pair_vocab, log_path, **{field: value})
+    assert not log_path.exists()

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 import kglp
 from kglp import layers
 from kglp.data import build_filter_index
-from kglp.evaluate import (evaluate, precompute_entity_embeddings, queries_for_split,
-                           query_scores, rank_from_scores, table_unit_rows)
+from kglp.evaluate import (RankingQuery, evaluate, precompute_entity_embeddings,
+                           queries_for_split, query_scores, rank_from_scores,
+                           rank_query, table_unit_rows)
 from kglp.text import TokenizedCatalog, assemble_entity, assemble_pair
 
 from util import (reference_encode_pooled, reference_encode_states,
@@ -194,3 +195,39 @@ def test_length_sorted_table_matches_catalog_order_reference(straddling_catalog,
     enc = small_encoder(cat.vocab.size, num_layers, seed=3)
     table = precompute_entity_embeddings(enc, cat, 32, batch_size=batch_size)
     assert np.array_equal(table, reference_encode_pooled(enc, layouts, batch_size))
+
+
+@pytest.fixture(scope="module")
+def wide_catalog(tmp_path_factory):
+    """Nine entities of 70 name tokens and five of 130, each its own words, so
+    that length-sorted batches of 2 and of 7 each put a short entity beside a
+    long one."""
+    names = {f"e{i:02d}": " ".join(f"e{i}w{j}" for j in range(130 if i % 3 == 0 else 70))
+             for i in range(14)}
+    rows = [(f"e{i:02d}", "r", f"e{(i + 1) % 14:02d}") for i in range(14)]
+    directory = write_dataset(tmp_path_factory.mktemp("wide"),
+                              {"train": rows[:8], "valid": rows[8:11],
+                               "test": rows[11:]},
+                              names, None, {"r": "relates to"})
+    kg = kglp.augment_inverse(kglp.load_dataset(directory))
+    return TokenizedCatalog(kg, kglp.build_vocab(kg, min_freq=1))
+
+
+def test_vectors_past_the_pairwise_block_do_not_depend_on_their_batch(wide_catalog):
+    # past 128 positions NumPy splits a sum at a length-dependent point, so a
+    # layout must keep one width whatever it is batched with
+    cat = wide_catalog
+    assert sorted({assemble_entity(cat, e, 256).length
+                   for e in range(cat.kg.num_entities)}) == [72, 132]
+    enc = kglp.Encoder(kglp.EncoderConfig(vocab_size=cat.vocab.size, hidden_size=32,
+                                          num_layers=2, num_heads=4, ff_size=48,
+                                          max_len=256), seed=5)
+    filt = build_filter_index(cat.kg)
+    tables = [precompute_entity_embeddings(enc, cat, 256, batch_size=b) for b in (1, 2, 7)]
+    assert all(np.array_equal(table, tables[0]) for table in tables[1:])
+    for batch_size in (1, 2, 7):
+        report = evaluate(cat.kg, enc, "test", cat=cat, filter_index=filt,
+                          pair_max_len=256, entity_max_len=256, batch_size=batch_size)
+        assert [rank_query(RankingQuery(q["entity"], q["relation"], q["gold"]), enc,
+                           cat, tables[0], filt, pair_max_len=256)
+                for q in report.per_query] == [q["rank"] for q in report.per_query]

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,8 +7,8 @@ import kglp
 from kglp.text import (CLS_ID, NUM_RESERVED, PAD_ID, RESERVED_TOKENS,
                        SEP_ID, UNK_ID, TokenizedCatalog, Vocabulary,
                        assemble_entity, assemble_pair, assemble_pair_tokens,
-                       assemble_triple, build_vocab, layout_lengths, split_words,
-                       tokenize, trim_width)
+                       assemble_triple, build_vocab, check_widths, layout_lengths,
+                       split_words, tokenize, trim_width)
 
 from util import write_dataset
 
@@ -249,3 +250,37 @@ def test_trim_width_rounds_longest_up_to_8_within_cap(batch):
     assert longest <= width < longest + 8
     assert width % 8 == 0 or width == cap
     assert width <= cap
+
+
+def test_layout_lengths_count_triples_as_assembled(tmp_path):
+    sizes = [(1, 0), (2, 3), (4, 12), (9, 40)]
+    words = lambda n, tag: " ".join(f"{tag}{j}" for j in range(n))
+    d = write_dataset(tmp_path, {"train": [("e0", "r", "e1"), ("e2", "r", "e3")]},
+                      {f"e{i}": words(n, "n") for i, (n, _) in enumerate(sizes)},
+                      {f"e{i}": words(m, "d") for i, (_, m) in enumerate(sizes)},
+                      {"r": "a relation of five words"})
+    kg = kglp.load_dataset(d)
+    cat = TokenizedCatalog(kg, build_vocab(kg, 1))
+    heads, tails = np.divmod(np.arange(len(sizes) ** 2), len(sizes))
+    relations = np.zeros_like(heads)
+    for max_len in (16, 24, 64, 128):
+        assert layout_lengths(cat, max_len, heads, relations, tails).tolist() == [
+            assemble_triple(cat, h, 0, t, max_len).length
+            for h, t in zip(heads.tolist(), tails.tolist())]
+
+
+def test_trim_width_keeps_the_layout_length_past_128():
+    assert trim_width([70], 128) == 72
+    assert trim_width([70], 129) == 129
+    assert trim_width([3, 130], 256) == 256
+
+
+def test_check_widths_names_the_key_that_sets_too_wide_a_batch():
+    check_widths(32, ("a.len", 96, [20, 25]), ("b.len", 48, []))
+    with pytest.raises(ValueError, match=r"^b\.len=64 builds batches 40 tokens wide, "
+                       r"but the encoder \(checkpoint\) max_len is 32; set b\.len "
+                       r"to at most 32$"):
+        check_widths(32, ("a.len", 96, [20]), ("b.len", 64, [33]))
+    # past 128 a batch keeps its layout length, short texts or not
+    with pytest.raises(ValueError, match="a.len=256 builds batches 256 tokens wide"):
+        check_widths(200, ("a.len", 256, [3]))
