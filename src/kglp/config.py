@@ -12,10 +12,8 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
-from .data import SPLITS
 from .encoder import EncoderConfig
 from .finetune import FinetuneConfig
-from .optim import check_schedule
 from .pretrain import PretrainConfig
 
 
@@ -143,33 +141,19 @@ def apply_values(config: RunConfig, values: dict[str, object]) -> None:
 
 
 def _validate(config: RunConfig) -> None:
-    # the encoder config, the focal parameters and each training schedule check
-    # their own ranges; any valid vocabulary size stands in for the one ingest finds
+    # the run-level rules; the encoder config and each trainer section check their
+    # own ranges (any valid vocabulary size stands in for the one ingest finds)
+    if config.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if config.vocab.min_freq < 1:
+        raise ConfigError("vocab.min_freq must be >= 1")
     for section, check in (("encoder", lambda: config.encoder.build(vocab_size=1)),
-                           ("finetune", config.finetune.focal),
-                           ("pretrain", lambda: check_schedule(config.pretrain)),
-                           ("finetune", lambda: check_schedule(config.finetune))):
+                           ("pretrain", config.pretrain.check),
+                           ("finetune", config.finetune.check)):
         try:
             check()
         except ValueError as exc:
             raise ConfigError(f"{section}.{exc}") from None
-    checks = [
-        (config.vocab.min_freq >= 1, "vocab.min_freq must be >= 1"),
-        (config.pretrain.patience >= 1, "pretrain.patience must be >= 1"),
-        (config.pretrain.max_len >= 16, "pretrain.max_len must be >= 16"),
-        (config.finetune.pair_max_len >= 16, "finetune.pair_max_len must be >= 16"),
-        (config.finetune.entity_max_len >= 8, "finetune.entity_max_len must be >= 8"),
-        (config.finetune.negative_mode in ("in_batch", "uniform_k"),
-         "finetune.negative_mode must be 'in_batch' or 'uniform_k'"),
-        (config.finetune.num_negatives >= 1, "finetune.num_negatives must be >= 1"),
-        (config.finetune.eval_every >= 1, "finetune.eval_every must be >= 1"),
-        (set(config.finetune.label_splits) <= set(SPLITS),
-         f"finetune.label_splits must name splits among {', '.join(SPLITS)}"),
-        (config.seed >= 0, "seed must be >= 0"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ConfigError(message)
 
 
 def load_run_config(config_path=None, overrides: dict | None = None,

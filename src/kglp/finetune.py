@@ -15,16 +15,17 @@ with k uniformly sampled negative entities per row. The epoch loop is
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .data import FilterIndex, KnowledgeGraph, Triple, Triples, build_filter_index
+from .data import SPLITS, FilterIndex, KnowledgeGraph, Triple, Triples, build_filter_index
 from .encoder import Encoder
 from .layers import clip_global_norm, unit_rows
-from .optim import AdamW, TrainingDiverged, run_epochs
+from .optim import AdamW, TrainingDiverged, check_schedule, run_epochs
 from .evaluate import evaluate as evaluate_ranking
 from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
                    check_widths, layout_lengths, stack_layouts)
@@ -38,7 +39,7 @@ _P_EPS = 1e-6
 
 @dataclass(frozen=True)
 class FocalParams:
-    """Class weight alpha in (0,1) and hard-example exponent gamma >= 0."""
+    """Class weight alpha in (0,1) and finite hard-example exponent gamma >= 0."""
 
     alpha: float = 0.8
     gamma: float = 2.0
@@ -46,8 +47,8 @@ class FocalParams:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be >= 0 and finite, got {self.gamma}")
 
 
 def build_label_matrix(batch: Sequence[Triple], filter_index: FilterIndex) -> np.ndarray:
@@ -203,6 +204,20 @@ class FinetuneConfig:
     def focal(self) -> FocalParams:
         return FocalParams(alpha=self.alpha, gamma=self.gamma)
 
+    def check(self) -> None:
+        """Raise ValueError, naming the field, for a setting ``run_finetune``
+        cannot run; the CLI runs the same check, with the section in front."""
+        self.focal()
+        check_schedule(
+            self, (self.pair_max_len >= 16, "pair_max_len must be >= 16"),
+            (self.entity_max_len >= 8, "entity_max_len must be >= 8"),
+            (self.negative_mode in ("in_batch", "uniform_k"),
+             "negative_mode must be 'in_batch' or 'uniform_k'"),
+            (self.num_negatives >= 1, "num_negatives must be >= 1"),
+            (self.eval_every >= 1, "eval_every must be >= 1"),
+            (set(self.label_splits) <= set(SPLITS),
+             f"label_splits must be among {', '.join(SPLITS)}"))
+
 
 @dataclass
 class FinetuneStepReport:
@@ -277,9 +292,9 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
 
 def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
                  config: FinetuneConfig, log_path=None) -> list[dict]:
-    """Fine-tune in place; model selection by validation Hits@10; returns history."""
-    if config.eval_every < 1:
-        raise ValueError("eval_every must be >= 1")
+    """Fine-tune in place; model selection by validation Hits@10; returns history.
+    Raises ValueError for a setting ``config.check`` refuses, before any work."""
+    config.check()
     cat = TokenizedCatalog(kg, vocab)
     train = kg.splits["train"]
     heads, relations = np.concatenate([train.array, kg.splits["valid"].array])[:, :2].T

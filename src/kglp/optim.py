@@ -150,19 +150,24 @@ def _write_line(fh, record: dict) -> None:
     fh.flush()
 
 
-def check_schedule(config) -> None:
-    """Refuse (ValueError naming the field) a schedule ``run_epochs`` cannot run:
-    ``config`` gives epochs, batch_size, lr_linear, lr_attention, warmup_frac,
-    clip_norm, weight_decay and log_every."""
+def check_schedule(config, *rules) -> None:
+    """Refuse (ValueError naming the field) a schedule ``run_epochs`` cannot run,
+    then the first of a section's own ``rules``, ``(ok, message)`` pairs, that
+    fails. ``config`` gives epochs, batch_size, seed, lr_linear, lr_attention,
+    warmup_frac, clip_norm, weight_decay and log_every."""
     for ok, message in (
             (config.epochs >= 1, "epochs must be >= 1"),
             (config.batch_size >= 1, "batch_size must be >= 1"),
-            (config.lr_linear > 0, "lr_linear must be positive"),
-            (config.lr_attention > 0, "lr_attention must be positive"),
+            (config.seed >= 0, "seed must be >= 0"),
+            (0 < config.lr_linear < math.inf, "lr_linear must be positive and finite"),
+            (0 < config.lr_attention < math.inf,
+             "lr_attention must be positive and finite"),
             (0.0 <= config.warmup_frac < 1.0, "warmup_frac must be in [0, 1)"),
             (config.clip_norm >= 0.0, "clip_norm must be >= 0 (0 disables it)"),
-            (config.weight_decay >= 0.0, "weight_decay must be >= 0"),
-            (config.log_every >= 1, "log_every must be >= 1")):
+            (0.0 <= config.weight_decay < math.inf,
+             "weight_decay must be >= 0 and finite"),
+            (config.log_every >= 1, "log_every must be >= 1"),
+            *rules):
         if not ok:
             raise ValueError(message)
 
@@ -181,13 +186,9 @@ def run_epochs(encoder: Encoder, config, train: Sequence, valid: Sequence,
     the step's log line. ``epoch_fn(epoch)`` returns validation fields for the
     record and a score, higher is better, or None on an epoch not validated.
     The best-scoring parameters are restored at the end; ``patience`` stops
-    training after that many scored epochs without improvement.
-    Raises ValueError, before the log is opened, for a schedule that
-    ``check_schedule`` refuses or a ``patience`` below 1.
+    training after that many scored epochs without improvement. The callers
+    have already run their section's check, ``check_schedule`` included.
     """
-    check_schedule(config)
-    if patience is not None and patience < 1:
-        raise ValueError("patience must be >= 1")
     if not train:
         raise ValueError("empty train split")
     # an empty split validates as loss 0 / hits@10 0, so the first epoch would

@@ -21,7 +21,7 @@ import numpy as np
 from .data import KnowledgeGraph
 from .encoder import Encoder
 from .layers import clip_global_norm, per_row_nll
-from .optim import AdamW, TrainingDiverged, run_epochs
+from .optim import AdamW, TrainingDiverged, check_schedule, run_epochs
 from .sampling import PretrainSample, build_pretrain_sample, derive_rng
 from .text import (PAD_ID, TokenizedCatalog, Vocabulary, check_widths, layout_lengths,
                    stack_trimmed)
@@ -44,6 +44,12 @@ class PretrainConfig:
     weight_decay: float = 0.01
     mlm_only: bool = False
     log_every: int = 50
+
+    def check(self) -> None:
+        """Raise ValueError, naming the field, for a setting ``run_pretraining``
+        cannot run; the CLI runs the same check, with the section in front."""
+        check_schedule(self, (self.patience >= 1, "patience must be >= 1"),
+                       (self.max_len >= 16, "max_len must be >= 16"))
 
 
 @dataclass
@@ -168,7 +174,9 @@ def validation_loss(encoder: Encoder, cat: TokenizedCatalog, triples,
 def run_pretraining(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
                     config: PretrainConfig, log_path=None) -> list[dict]:
     """Train ``encoder`` in place on the augmented train split; early-stops on
-    validation loss and restores the best parameters. Returns the epoch history."""
+    validation loss and restores the best parameters. Returns the epoch history.
+    Raises ValueError for a setting ``config.check`` refuses, before any work."""
+    config.check()
     cat = TokenizedCatalog(kg, vocab)
     train = kg.splits["train"]
     valid = kg.splits["valid"]

@@ -80,6 +80,8 @@ def test_config_out_of_range_rejected(cli_dataset, tmp_path, capsys):
                        ("pretrain.clip_norm", "-1"), ("finetune.clip_norm", "-0.5"),
                        ("pretrain.weight_decay", "-0.01"),
                        ("finetune.weight_decay", "-0.01"),
+                       ("pretrain.lr_linear", "inf"), ("finetune.lr_attention", "inf"),
+                       ("finetune.weight_decay", "inf"), ("finetune.gamma", "inf"),
                        ("pretrain.seed", "5"), ("finetune.seed", "5"),
                        ("dataset.dir", "/nonexistent/elsewhere")]:
         with pytest.raises(ConfigError, match=re.escape(key)):

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -149,7 +150,10 @@ def test_clip_global_norm_matches_float64_copy_reference(dtype):
 
 _BAD_SCHEDULES = [("epochs", 0), ("batch_size", 0), ("lr_linear", 0.0),
                   ("lr_attention", -1e-5), ("warmup_frac", 1.0), ("clip_norm", -1.0),
-                  ("weight_decay", -0.01), ("log_every", 0)]
+                  ("weight_decay", -0.01), ("log_every", 0),
+                  # step 0's warmup scale is 0, and 0 * inf puts NaN in the parameters
+                  ("lr_linear", math.inf), ("lr_attention", math.inf),
+                  ("weight_decay", math.inf)]
 
 
 def _run_stage(stage, kg, vocab, log_path, **settings):
@@ -168,7 +172,13 @@ def _run_stage(stage, kg, vocab, log_path, **settings):
 @pytest.mark.parametrize("stage, field, value", [
     *((stage, field, value) for stage in ("pretrain", "finetune")
       for field, value in _BAD_SCHEDULES),
-    ("pretrain", "patience", 0), ("finetune", "eval_every", 0)])
+    ("pretrain", "patience", 0), ("finetune", "eval_every", 0),
+    ("pretrain", "max_len", 12), ("finetune", "pair_max_len", 12),
+    ("finetune", "entity_max_len", 6), ("finetune", "alpha", 1.5),
+    ("finetune", "gamma", -1.0), ("finetune", "gamma", math.inf),
+    ("finetune", "negative_mode", "bogus"), ("finetune", "num_negatives", 0),
+    pytest.param("finetune", "label_splits", ("trian",),
+                 id="finetune-label_splits-trian")])
 def test_runs_refuse_what_the_config_refuses(pair_kg, pair_vocab, tmp_path, stage,
                                              field, value):
     with pytest.raises(ConfigError, match=re.escape(f"{stage}.{field} must be")):
@@ -177,3 +187,14 @@ def test_runs_refuse_what_the_config_refuses(pair_kg, pair_vocab, tmp_path, stag
     with pytest.raises(ValueError, match=f"^{field} must be"):
         _run_stage(stage, pair_kg, pair_vocab, log_path, **{field: value})
     assert not log_path.exists()
+
+
+@pytest.mark.parametrize("stage", ["pretrain", "finetune"])
+def test_runs_refuse_a_negative_seed_before_touching_the_log(pair_kg, pair_vocab,
+                                                             tmp_path, stage):
+    # the CLI sets the seed only at top level (`seed`), so this case is the library's
+    log_path = tmp_path / "log.jsonl"
+    log_path.write_text('{"step": 0}\n')
+    with pytest.raises(ValueError, match="^seed must be"):
+        _run_stage(stage, pair_kg, pair_vocab, log_path, seed=-1)
+    assert log_path.read_text() == '{"step": 0}\n'
