@@ -8,9 +8,10 @@ Each command reads/writes a run directory so a full experiment is:
     kglp evaluate --out runs/umls --split test
     kglp predict --out runs/umls --head "algorithm" --relation isa -k 5
 
-Every producing command writes a manifest (config snapshot, sha256 of inputs
-and outputs, metrics, elapsed seconds) next to its artifacts. Exit codes:
-0 success, 1 runtime failure, 2 usage/config error.
+``ingest``, ``pretrain``, ``finetune`` and ``evaluate`` write a manifest (config
+snapshot, sha256 of inputs and outputs, metrics, elapsed seconds) next to their
+artifacts; ``resplit-unseen`` and ``predict`` write none. Exit codes: 0 success,
+1 runtime failure (a malformed checkpoint too), 2 usage/config error.
 
 ``--threads N`` caps the BLAS/OpenMP pools through threadpoolctl (the ``perf``
 extra) while the command runs; without threadpoolctl it is refused with exit 2.
@@ -29,11 +30,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, EncoderSettings, RunConfig, load_run_config
+from .config import ConfigError, RunConfig, encoder_settings, load_run_config
 from .data import (DATASET_FILES, DatasetError, augment_inverse, dataset_statistics,
                    known_completions, load_dataset, resplit_unseen, save_catalogs,
                    save_splits)
-from .encoder import CheckpointError, Encoder, load_checkpoint, save_checkpoint
+from .encoder import CheckpointError, Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .evaluate import evaluate, precompute_entity_embeddings, query_scores, table_unit_rows
 from .files import atomic_write
 from .finetune import run_finetune
@@ -154,7 +155,7 @@ def _load_run_checkpoint(args, out_dir: Path, stage: str, vocab, rc, hint: str =
         raise ArtifactError(
             f"checkpoint {path} has vocab size {encoder.config.vocab_size}, but vocab.txt "
             f"has {vocab.size}; re-run the stages after `kglp ingest` with --force")
-    rc.encoder = EncoderSettings.of(encoder.config)
+    rc.encoder = encoder_settings(encoder.config)
     return path, encoder
 
 
@@ -203,7 +204,7 @@ def cmd_pretrain(args) -> int:
     ckpt_path = out_dir / "pretrain.npz"
     _refuse_overwrite([ckpt_path], args.force)
 
-    encoder = Encoder(rc.encoder.build(vocab.size), seed=rc.seed)
+    encoder = Encoder(EncoderConfig(vocab.size, **asdict(rc.encoder)), seed=rc.seed)
     history = run_pretraining(kg, vocab, encoder, rc.pretrain,
                               log_path=out_dir / "pretrain_log.jsonl")
     save_checkpoint(encoder, ckpt_path)
@@ -226,7 +227,7 @@ def cmd_finetune(args) -> int:
 
     inputs = {"vocab.txt": out_dir / "vocab.txt"}
     if args.checkpoint == "none":
-        encoder = Encoder(rc.encoder.build(vocab.size), seed=rc.seed)
+        encoder = Encoder(EncoderConfig(vocab.size, **asdict(rc.encoder)), seed=rc.seed)
     else:
         inputs["checkpoint"], encoder = _load_run_checkpoint(
             args, out_dir, "pretrain", vocab, rc,
@@ -338,15 +339,8 @@ def cmd_predict(args) -> int:
     if args.filtered and filter_key is not None:
         known = known_completions(kg, filter_key)
     order = np.argsort(-scores, kind="stable")
-    shown = 0
-    for idx in order:
-        if int(idx) in known:
-            continue
-        print(f"{shown + 1:>3} {scores[idx]: .4f}  {kg.entity_ids[idx]}"
-              f"  {kg.entity_names[idx]}")
-        shown += 1
-        if shown >= args.k:
-            break
+    for rank, idx in enumerate(order[~np.isin(order, list(known))][:args.k], start=1):
+        print(f"{rank:>3} {scores[idx]: .4f}  {kg.entity_ids[idx]}  {kg.entity_names[idx]}")
     return 0
 
 

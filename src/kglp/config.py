@@ -9,7 +9,7 @@ ignored so typos cannot silently change an experiment.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from pathlib import Path
 
 from .encoder import EncoderConfig
@@ -21,24 +21,16 @@ class ConfigError(Exception):
     """Bad config file, unknown key, or out-of-range value."""
 
 
-@dataclass
-class EncoderSettings:
-    """Encoder hyperparameters minus the vocabulary size (known after ingest)."""
+#: Encoder hyperparameters minus the vocabulary size (known after ingest):
+#: ``EncoderConfig``'s other fields, with its defaults
+EncoderSettings = make_dataclass("EncoderSettings", [
+    (f.name, f.type, field(default=f.default)) for f in fields(EncoderConfig)
+    if f.name != "vocab_size"], namespace={"__module__": __name__})
 
-    hidden_size: int = 128
-    num_layers: int = 2
-    num_heads: int = 4
-    ff_size: int = 256
-    max_len: int = 128
-    dropout: float = 0.1
 
-    def build(self, vocab_size: int) -> EncoderConfig:
-        return EncoderConfig(vocab_size=vocab_size, **asdict(self))
-
-    @classmethod
-    def of(cls, config: EncoderConfig) -> EncoderSettings:
-        """The settings a built config (such as a loaded checkpoint's) was made with."""
-        return cls(**{f.name: getattr(config, f.name) for f in fields(cls)})
+def encoder_settings(config: EncoderConfig) -> EncoderSettings:
+    """The settings a built config (such as a loaded checkpoint's) was made with."""
+    return EncoderSettings(**{f.name: getattr(config, f.name) for f in fields(EncoderSettings)})
 
 
 @dataclass
@@ -147,7 +139,7 @@ def _validate(config: RunConfig) -> None:
         raise ConfigError("seed must be >= 0")
     if config.vocab.min_freq < 1:
         raise ConfigError("vocab.min_freq must be >= 1")
-    for section, check in (("encoder", lambda: config.encoder.build(vocab_size=1)),
+    for section, check in (("encoder", lambda: EncoderConfig(1, **asdict(config.encoder))),
                            ("pretrain", config.pretrain.check),
                            ("finetune", config.finetune.check)):
         try:

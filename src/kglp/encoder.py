@@ -19,6 +19,7 @@ to the full encode's.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ _NEG_INF = -np.inf
 
 
 class CheckpointError(Exception):
-    """A checkpoint file is unreadable, corrupted, or of an unknown format."""
+    """A checkpoint file is unreadable, corrupted, of an unknown format, or holds
+    tensors other than its config's ``param_layout`` and ``init_buffers``."""
 
 
 @dataclass(frozen=True)
@@ -58,10 +60,7 @@ class EncoderConfig:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def num_parameters(self) -> int:
-        d, f, v, m = self.hidden_size, self.ff_size, self.vocab_size, self.max_len
-        per_block = 4 * (d * d + d) + 2 * 2 * d + (d * f + f) + (f * d + d)
-        head = (d * d + d) + 2 * d + (d * v + v)
-        return v * d + m * d + 2 * d + self.num_layers * per_block + head
+        return sum(math.prod(shape) for shape, _ in param_layout(self).values())
 
 
 @dataclass
@@ -78,40 +77,34 @@ def param_group(name: str) -> str:
     return "linear" if name.startswith("head.") else "attention"
 
 
+def param_layout(config: EncoderConfig) -> dict[str, tuple[tuple[int, ...], str]]:
+    """The one list of the encoder's parameter tensors, in ``init_params``' draw order:
+    name -> (shape, initial fill), the fill "gauss", "zeros" or "ones"."""
+    d, f, v = config.hidden_size, config.ff_size, config.vocab_size
+
+    def norm(prefix):
+        return {f"{prefix}.g": ((d,), "ones"), f"{prefix}.b": ((d,), "zeros")}
+
+    def dense(prefix, k, n_in, n_out):
+        return {f"{prefix}.w{k}": ((n_in, n_out), "gauss"), f"{prefix}.b{k}": ((n_out,), "zeros")}
+
+    layout = {"tok_emb": ((v, d), "gauss"), "pos_emb": ((config.max_len, d), "gauss"),
+              **norm("emb_ln")}
+    for i in range(config.num_layers):
+        layout.update({f"blk{i}.attn.w{x}": ((d, d), "gauss") for x in "qkvo"})
+        layout.update({f"blk{i}.attn.b{x}": ((d,), "zeros") for x in "qkvo"})
+        layout.update({**norm(f"blk{i}.ln1"), **dense(f"blk{i}.ff", 1, d, f),
+                       **dense(f"blk{i}.ff", 2, f, d), **norm(f"blk{i}.ln2")})
+    return {**layout, **dense("head", 1, d, d), **norm("head.bn"), **dense("head", 2, d, v)}
+
+
 def init_params(config: EncoderConfig, seed: int, dtype=np.float32) -> tuple[dict, dict]:
     """Scaled-Gaussian (std 0.02) weights, zero biases, unit norms; deterministic."""
     rng = np.random.default_rng(seed)
-    std = 0.02
-
-    def gauss(*shape):
-        return (rng.standard_normal(shape) * std).astype(dtype)
-
-    d, f, v = config.hidden_size, config.ff_size, config.vocab_size
-    p: dict[str, np.ndarray] = {}
-    p["tok_emb"] = gauss(v, d)
-    p["pos_emb"] = gauss(config.max_len, d)
-    p["emb_ln.g"] = np.ones(d, dtype=dtype)
-    p["emb_ln.b"] = np.zeros(d, dtype=dtype)
-    for i in range(config.num_layers):
-        for w in ("wq", "wk", "wv", "wo"):
-            p[f"blk{i}.attn.{w}"] = gauss(d, d)
-        for b in ("bq", "bk", "bv", "bo"):
-            p[f"blk{i}.attn.{b}"] = np.zeros(d, dtype=dtype)
-        p[f"blk{i}.ln1.g"] = np.ones(d, dtype=dtype)
-        p[f"blk{i}.ln1.b"] = np.zeros(d, dtype=dtype)
-        p[f"blk{i}.ff.w1"] = gauss(d, f)
-        p[f"blk{i}.ff.b1"] = np.zeros(f, dtype=dtype)
-        p[f"blk{i}.ff.w2"] = gauss(f, d)
-        p[f"blk{i}.ff.b2"] = np.zeros(d, dtype=dtype)
-        p[f"blk{i}.ln2.g"] = np.ones(d, dtype=dtype)
-        p[f"blk{i}.ln2.b"] = np.zeros(d, dtype=dtype)
-    p["head.w1"] = gauss(d, d)
-    p["head.b1"] = np.zeros(d, dtype=dtype)
-    p["head.bn.g"] = np.ones(d, dtype=dtype)
-    p["head.bn.b"] = np.zeros(d, dtype=dtype)
-    p["head.w2"] = gauss(d, v)
-    p["head.b2"] = np.zeros(v, dtype=dtype)
-    return p, init_buffers(config, dtype)
+    fill = {"zeros": np.zeros, "ones": np.ones,
+            "gauss": lambda shape, dtype: (rng.standard_normal(shape) * 0.02).astype(dtype)}
+    params = {n: fill[how](shape, dtype=dtype) for n, (shape, how) in param_layout(config).items()}
+    return params, init_buffers(config, dtype)
 
 
 def init_buffers(config: EncoderConfig, dtype=np.float32) -> dict:
@@ -457,6 +450,14 @@ def load_checkpoint(path) -> Encoder:
                        if k.startswith("buffer::")}
     except CheckpointError:
         raise
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
+    for kind, tensors, want in (
+            ("tensor", params, {n: shape for n, (shape, _) in param_layout(config).items()}),
+            ("buffer", buffers, {n: b.shape for n, b in init_buffers(config).items()})):
+        for name in [*want, *sorted(tensors.keys() - want.keys())]:
+            shape = tensors[name].shape if name in tensors else None
+            if shape != want.get(name):
+                raise CheckpointError(
+                    f"{path}: {kind} {name} is {shape}, its config wants {want.get(name)}")
     return Encoder(config, params=params, buffers=buffers)

@@ -225,15 +225,10 @@ def assemble_entity(cat: TokenizedCatalog, entity: int, max_len: int) -> Sequenc
     """Candidate-side input: [CLS] entity entity_desc [SEP]."""
     if max_len < 4:
         raise ValueError(f"entity max_len must be >= 4, got {max_len}")
-    ent = cat.entity_tokens[entity]
-    desc = cat.entity_desc_tokens[entity]
-    budget = max_len - 2
-    keep_ent = min(len(ent), budget)
-    keep_desc = max(0, budget - keep_ent)
+    ent, desc, _, _, _ = _fit_regions(max_len, 2, cat.entity_tokens[entity],
+                                      cat.entity_desc_tokens[entity], [], [], [])
     return _finalize([
-        ("cls", [CLS_ID]),
-        ("entity", ent[:keep_ent]), ("entity_desc", desc[:keep_desc]),
-        ("sep1", [SEP_ID]),
+        ("cls", [CLS_ID]), ("entity", ent), ("entity_desc", desc), ("sep1", [SEP_ID]),
     ], max_len)
 
 

@@ -11,8 +11,8 @@ import pytest
 import kglp
 from kglp import cli
 from kglp.cli import main
-from kglp.config import (ConfigError, load_run_config, normalize_dataset_name,
-                         parse_config_file)
+from kglp.config import (ConfigError, EncoderSettings, load_run_config,
+                         normalize_dataset_name, parse_config_file)
 
 from util import make_pair_dataset
 
@@ -668,6 +668,49 @@ def test_manifests_record_the_loaded_checkpoint_encoder(cli_run, tmp_path, capsy
         "hidden_size": 32, "num_layers": 1, "num_heads": 4, "ff_size": 48,
         "max_len": 32, "dropout": 0.1}
     capsys.readouterr()
+
+
+def _drop_tensor(arrays):
+    del arrays["param::blk0.ff.w2"]
+
+
+def _reshape_tensor(arrays):
+    arrays["param::blk0.ff.w1"] = np.zeros((32, 40), dtype=np.float32)
+
+
+def _add_layer(arrays):
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["num_layers"] = 2
+    arrays["__meta__"] = np.array(json.dumps(meta))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_tensor, "tensor blk0.ff.w2 is None, its config wants (48, 32)"),
+    (_reshape_tensor, "tensor blk0.ff.w1 is (32, 40), its config wants (32, 48)"),
+    (_add_layer, "tensor blk1.attn.wq is None, its config wants (32, 32)"),
+])
+def test_checkpoint_with_other_tensors_exits_1_and_writes_nothing(cli_run, tmp_path, capsys,
+                                                                  edit, message):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    with np.load(run / "finetune.npz") as data:
+        arrays = dict(data)
+    edit(arrays)
+    bad = tmp_path / "bad.npz"
+    np.savez(bad, **arrays)
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    capsys.readouterr()
+    for command in (["evaluate", "--split", "test"],
+                    ["finetune", "--set", "finetune.epochs=1", *SMALL]):
+        assert main([*command, "--out", str(run), "--force", "--checkpoint", str(bad)]) == 1
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+
+def test_encoder_settings_are_the_encoder_config_without_the_vocabulary():
+    from dataclasses import fields
+    assert [(f.name, f.default) for f in fields(EncoderSettings)] == [
+        (f.name, f.default) for f in fields(kglp.EncoderConfig) if f.name != "vocab_size"]
 
 
 def test_every_settings_field_is_a_key():

@@ -1,10 +1,12 @@
+import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
 from kglp.encoder import (CheckpointError, Encoder, EncoderConfig, init_params,
-                          load_checkpoint, param_group, save_checkpoint)
+                          load_checkpoint, param_group, param_layout, save_checkpoint)
 from kglp import layers
 from kglp.layers import cross_entropy, scatter_add_rows
 
@@ -37,6 +39,12 @@ def test_config_validation():
 def test_num_parameters_matches_actual():
     params, _ = init_params(CFG, seed=0)
     assert CFG.num_parameters() == sum(p.size for p in params.values())
+
+
+def test_param_layout_lists_every_parameter_in_order():
+    params, _ = init_params(CFG, seed=0)
+    assert [(n, p.shape) for n, p in params.items()] == [
+        (n, shape) for n, (shape, _) in param_layout(CFG).items()]
 
 
 def test_param_groups():
@@ -133,6 +141,30 @@ def test_init_determinism():
     assert any((p1[k] != p3[k]).any() for k in p1)
 
 
+#: sha256 over every initial tensor (name, shape, dtype, bytes, in dict order)
+#: of ``init_params(config, seed=0)``; a reordered or reshaped layout changes it
+_INIT_DIGESTS = {
+    ("CFG", "float32"): "c42b38f51a1a3389ee09c80e5b7929cc182157f7d4fb3a430a2cc085adaee9c2",
+    ("CFG", "float64"): "779be2c1c7652a52c2034b086f1d95577879adaba2781a64e70a93b3d4792004",
+    ("CFG3", "float32"): "ab9135f18661558df0c0cbf84747a02672af172c7e876eefba00a01cd6225a36",
+    ("CFG3", "float64"): "397920674c7bb7363a7b9ec6ceec8dea1e0bd2ed6ab5d498e0328be1fbce6463",
+}
+_CFG3 = EncoderConfig(vocab_size=17, hidden_size=16, num_layers=3, num_heads=2,
+                      ff_size=20, max_len=10, dropout=0.0)
+
+
+@pytest.mark.parametrize("name, config", [("CFG", CFG), ("CFG3", _CFG3)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_init_params_are_pinned(name, config, dtype):
+    params, buffers = init_params(config, seed=0, dtype=dtype)
+    digest = hashlib.sha256()
+    for tensor_name, arr in {**params, **buffers}.items():
+        assert arr.dtype == dtype, tensor_name
+        digest.update(f"{tensor_name}{arr.shape}{arr.dtype}".encode())
+        digest.update(arr.tobytes())
+    assert digest.hexdigest() == _INIT_DIGESTS[name, np.dtype(dtype).name]
+
+
 def test_dropout_needs_rng():
     enc = Encoder(EncoderConfig(vocab_size=10, hidden_size=8, num_layers=1,
                                 num_heads=2, ff_size=8, max_len=8, dropout=0.5), seed=0)
@@ -191,6 +223,56 @@ def test_checkpoint_without_meta(tmp_path):
     np.savez(path, foo=np.zeros(3))
     with pytest.raises(CheckpointError, match="meta"):
         load_checkpoint(path)
+
+
+def test_checkpoint_config_with_an_unknown_field_is_refused(tmp_path):
+    path = tmp_path / "newer.npz"
+    save_checkpoint(Encoder(CFG, seed=9), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    meta = json.loads(str(arrays["__meta__"]))
+    meta["config"]["compute_dtype"] = "float32"
+    arrays["__meta__"] = np.array(json.dumps(meta))
+    np.savez(path, **arrays)
+    with pytest.raises(CheckpointError, match="compute_dtype"):
+        load_checkpoint(path)
+
+
+def _drop(params, buffers):
+    del params["blk0.ff.w2"]
+
+
+def _extra(params, buffers):
+    params["blk0.ff.w3"] = np.zeros((48, 32), dtype=np.float32)
+
+
+def _reshape(params, buffers):
+    params["blk0.ff.w1"] = np.zeros((32, 40), dtype=np.float32)
+
+
+def _drop_buffer(params, buffers):
+    del buffers["head.bn.var"]
+
+
+@pytest.mark.parametrize("edit, config, message", [
+    (_drop, CFG, "tensor blk0.ff.w2 is None, its config wants (48, 32)"),
+    (_extra, CFG, "tensor blk0.ff.w3 is (48, 32), its config wants None"),
+    (_reshape, CFG, "tensor blk0.ff.w1 is (32, 40), its config wants (32, 48)"),
+    (_drop_buffer, CFG, "buffer head.bn.var is None, its config wants (32,)"),
+    (None, dataclasses.replace(CFG, num_layers=3),
+     "tensor blk2.attn.wq is None, its config wants (32, 32)"),
+])
+def test_checkpoint_with_other_tensors_than_its_config_is_refused(tmp_path, edit, config,
+                                                                  message):
+    enc = Encoder(CFG, seed=9)
+    if edit is not None:
+        edit(enc.params, enc.buffers)
+    enc.config = config
+    path = tmp_path / "bad.npz"
+    save_checkpoint(enc, path)
+    with pytest.raises(CheckpointError) as info:
+        load_checkpoint(path)
+    assert str(info.value) == f"{path}: {message}"
 
 
 def _gradcheck_setup():

@@ -149,6 +149,26 @@ def test_assemble_triple_truncates_descriptions_first(tmp_path):
     assert tight.length == 16
 
 
+@pytest.mark.parametrize("max_len, name_kept, desc_kept", [(4, 2, 0), (8, 6, 0),
+                                                         (16, 10, 4)])
+def test_assemble_entity_keeps_the_name_first_then_the_description(tmp_path, max_len,
+                                                                   name_kept, desc_kept):
+    name = " ".join(f"n{i}" for i in range(10))
+    desc = " ".join(f"d{i}" for i in range(20))
+    d = write_dataset(tmp_path, {"train": [("A", "r", "A")]}, {"A": name}, {"A": desc},
+                      {"r": "rel"})
+    kg = kglp.load_dataset(d)
+    vocab = build_vocab(kg, 1)
+    layout = assemble_entity(TokenizedCatalog(kg, vocab), 0, max_len)
+    kept = [*tokenize(name, vocab)[:name_kept], *tokenize(desc, vocab)[:desc_kept]]
+    assert layout.tokens.tolist() == [CLS_ID, *kept, SEP_ID]
+    assert layout.mask.tolist() == [1] * max_len
+    assert layout.length == max_len
+    assert layout.spans == {"cls": (0, 1), "entity": (1, 1 + name_kept),
+                            "entity_desc": (1 + name_kept, 1 + name_kept + desc_kept),
+                            "sep1": (max_len - 1, max_len)}
+
+
 def test_assemble_rejects_small_max_len(pair_kg, pair_vocab):
     cat = TokenizedCatalog(pair_kg, pair_vocab)
     with pytest.raises(ValueError, match="max_len"):
