@@ -7,13 +7,17 @@ logits for the masked-token objectives. Everything is trained from scratch;
 parameters live in a flat name -> array dict so the optimizer, checkpoints,
 and gradient checks can treat them uniformly.
 
-A pooled-only inference encode (``encode(..., pooled_only=True)``), which is
-what entity tables and query vectors use, keeps no backward caches and runs
-the position-wise layers on real rows only: the embedding, the linears, GeLU
-and the layer norms see the (R, d) matrix of real positions, and only scores,
-softmax and context run on the padded (B, S) grid. The last block goes on past
-its attention with the [CLS] rows alone. Its pooled vectors are bit-identical
-to the full encode's.
+Training passes and the pooled-only inference encode compute real token rows
+only. ``forward(..., positions=(batch_idx, pos_idx))`` returns the states at
+those positions alone: the embedding, the linears, GeLU and the layer norms see
+the (R, d) matrix of real positions (mask 1, plus the asked-for positions), and
+only scores, softmax and context run on the padded (B, S) grid. The last block
+goes on past its attention with the asked-for rows alone, and ``backward`` runs
+the same layout in reverse. Fine-tuning asks for the [CLS] rows, pre-training
+for its target rows, and the pooled-only encode (``encode(..., pooled_only=True)``,
+which entity tables and query vectors use) for the [CLS] rows without backward
+caches. The states are bit-identical to the full forward's; the gradients
+differ from the full backward's only in the order of the weight-gradient sums.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ _NEG_INF = -np.inf
 
 class CheckpointError(Exception):
     """A checkpoint file is unreadable, corrupted, of an unknown format, or holds
-    tensors other than its config's ``param_layout`` and ``init_buffers``."""
+    tensors other than its config's ``param_layout`` and ``init_buffers``, or
+    not all in one floating dtype."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +71,12 @@ class EncoderConfig:
 @dataclass
 class EncoderOutput:
     """Per-token hidden states plus the pooled ([CLS] position) vector;
-    ``token_states`` is None after a pooled-only encode."""
+    ``token_states`` is None after a pooled-only encode. After a forward with
+    ``positions``, ``token_states`` is the (K, d) matrix of the states at those
+    positions and ``pooled`` is None."""
 
     token_states: np.ndarray | None
-    pooled: np.ndarray
+    pooled: np.ndarray | None
 
 
 def param_group(name: str) -> str:
@@ -113,11 +120,41 @@ def init_buffers(config: EncoderConfig, dtype=np.float32) -> dict:
             "head.bn.var": np.ones(config.hidden_size, dtype=dtype)}
 
 
+def _check_tensors(config: EncoderConfig, params: dict, buffers: dict) -> None:
+    """Raise ValueError, naming the tensor, unless ``params`` and ``buffers``
+    hold exactly the tensors of ``param_layout(config)`` and
+    ``init_buffers(config)``, in those shapes, all of ``tok_emb``'s floating
+    dtype."""
+    dtype = params["tok_emb"].dtype if "tok_emb" in params else None
+    for kind, tensors, want in (
+            ("tensor", params, {n: shape for n, (shape, _) in param_layout(config).items()}),
+            ("buffer", buffers, {n: b.shape for n, b in init_buffers(config).items()})):
+        for name in [*want, *sorted(tensors.keys() - want.keys())]:
+            arr = tensors.get(name)
+            shape = None if arr is None else arr.shape
+            if shape != want.get(name):
+                raise ValueError(f"{kind} {name} is {shape}, its config wants {want.get(name)}")
+            if not np.issubdtype(arr.dtype, np.floating):
+                raise ValueError(f"{kind} {name} is {arr.dtype}, not a floating dtype")
+            if arr.dtype != dtype:
+                raise ValueError(f"{kind} {name} is {arr.dtype}, tok_emb is {dtype}")
+
+
+def cls_positions(batch_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The [CLS] position of every sequence of a batch, as ``forward``'s
+    ``positions``."""
+    return np.arange(batch_size), np.zeros(batch_size, dtype=np.intp)
+
+
 class Encoder:
     """The encoder plus prediction head, with hand-written backprop.
 
     The parameter dict has a single logical writer (the training loop);
     inference-mode calls never mutate state and are safe concurrently.
+    Given ``params`` must hold exactly the tensors of ``param_layout(config)``,
+    and ``buffers`` (fresh ones of the params' dtype when None) those of
+    ``init_buffers(config)``, all in one floating dtype; anything else raises
+    ValueError naming the tensor.
     """
 
     def __init__(self, config: EncoderConfig, params: dict | None = None,
@@ -125,30 +162,42 @@ class Encoder:
         self.config = config
         if params is None:
             params, buffers = init_params(config, seed, dtype)
-        self.dtype = next(iter(params.values())).dtype
+        self.dtype = params["tok_emb"].dtype if "tok_emb" in params else np.dtype(dtype)
+        if buffers is None:
+            buffers = init_buffers(config, self.dtype)
+        _check_tensors(config, params, buffers)
         self.params = params
-        self.buffers = buffers if buffers is not None else init_buffers(config, dtype)
+        self.buffers = buffers
 
     # ------------------------------------------------------------------ forward
 
     def forward(self, tokens, mask, train: bool = False,
-                rng: np.random.Generator | None = None, pooled_only: bool = False):
+                rng: np.random.Generator | None = None, pooled_only: bool = False,
+                positions=None):
         """Run the encoder; returns (EncoderOutput, cache).
 
         ``tokens`` (B, S) int, ``mask`` (B, S) with 1 on real positions. PAD
         keys receive no attention from any query. ``rng`` drives dropout and is
         required when training with a nonzero dropout rate.
 
-        ``pooled_only`` (inference only) returns the pooled vectors alone, with
-        ``token_states`` and the cache None. The real positions (mask 1, and
-        position 0) are gathered into an (R, d) matrix after the embedding
-        lookup, and the last block goes on past its attention with the [CLS]
-        rows only. The pooled vectors are bit-identical to the full forward's
-        as long as BLAS gives a row of a matrix-matrix product the same bits
-        whatever the row count. A batch of one, or a sequence of one position,
-        keeps the full forward's shapes: NumPy hands a one-row product to a
-        matrix-vector kernel that sums in another order, and for one sequence
-        the gathers cost more than the few PAD rows they skip.
+        ``positions`` = (batch indices, position indices), distinct grid
+        positions, returns the states at those positions only, as the (K, d)
+        ``token_states`` in that order; ``backward`` then reads its gradients
+        there only. The real positions (mask 1) and the asked-for ones are
+        gathered into an (R, d) matrix after the embedding lookup, and the last
+        block goes on past its attention with the asked-for rows only. Dropout
+        masks are drawn on the (B, S, d) grid, in the full forward's order, and
+        taken at the rows, so the rng stream is the full forward's too.
+        ``pooled_only`` (inference only) asks for the [CLS] rows and returns
+        them as ``pooled``, with ``token_states`` and the cache None.
+
+        The states are bit-identical to the full forward's as long as BLAS
+        gives a row of a matrix-matrix product the same bits whatever the row
+        count. A batch of one, a sequence of one position, or fewer than two
+        asked-for positions keep the full forward's shapes and gather the
+        states at the end: NumPy hands a one-row product to a matrix-vector
+        kernel that sums in another order, and for one sequence the gathers
+        cost more than the few PAD rows they skip.
         """
         cfg, p = self.config, self.params
         tokens = np.asarray(tokens)
@@ -166,52 +215,65 @@ class Encoder:
             raise ValueError(f"token id {int(tokens.min())} is negative")
         if mask.shape != tokens.shape:
             raise ValueError("mask shape must match tokens shape")
-        if pooled_only and train:
-            raise ValueError("pooled_only is an inference mode; it cannot train")
+        if positions is not None:
+            positions = tuple(np.asarray(ix, dtype=np.intp) for ix in positions)
+            if np.unique(np.ravel_multi_index(positions, (B, S))).size != positions[0].size:
+                raise ValueError("positions must be distinct grid positions")
+        if pooled_only:
+            if train or positions is not None:
+                raise ValueError("pooled_only is an inference mode; it cannot train "
+                                 "or take positions")
+            positions = cls_positions(B)
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and rng is None:
             raise ValueError("training-mode forward with dropout needs an rng")
 
         key_mask = mask.astype(bool)  # (B, S)
-        rows = None
-        if pooled_only and B > 1 and S > 1:
+        rows = keep = None
+        if positions is not None and B > 1 and S > 1 and positions[0].size > 1:
             real = key_mask.copy()
-            real[:, 0] = True
+            real[positions] = True
             rows = np.nonzero(real)
-            x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows[1]]
-        else:
+            row_of = np.zeros((B, S), dtype=np.intp)
+            row_of[rows] = np.arange(rows[0].size)
+            keep = row_of[positions]
+        if rows is None:
             x = p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :]
+        else:
+            x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows[1]]
         x, emb_ln_cache = L.layernorm_forward(x, p["emb_ln.g"], p["emb_ln.b"])
-        x, emb_drop = L.dropout_forward(x, rate, rng, train)
+        x, emb_drop = L.dropout_forward(x, rate, rng, train,
+                                        None if rows is None else ((B, S, cfg.hidden_size), rows))
 
         caches = []
         for i in range(cfg.num_layers):
-            last = rows is not None and i == cfg.num_layers - 1
-            keep = np.flatnonzero(rows[1] == 0) if last else None  # the [CLS] rows
-            x, blk_cache = self._block_forward(i, x, key_mask, rate, rng, train,
-                                               not pooled_only, rows, keep)
+            x, blk_cache = self._block_forward(
+                i, x, key_mask, rate, rng, train, not pooled_only, rows,
+                keep if i == cfg.num_layers - 1 else None)
             caches.append(blk_cache)
+        if positions is not None and rows is None:
+            x = x[positions]
         if pooled_only:
-            return EncoderOutput(token_states=None,
-                                 pooled=x[:, 0] if rows is None else x), None
+            return EncoderOutput(token_states=None, pooled=x), None
 
         cache = {
             "tokens": tokens, "emb_ln": emb_ln_cache, "emb_drop": emb_drop,
-            "blocks": caches, "seq_len": S,
+            "blocks": caches, "seq_len": S, "rows": rows, "positions": positions,
         }
-        return EncoderOutput(token_states=x, pooled=x[:, 0]), cache
+        pooled = x[:, 0] if positions is None else None
+        return EncoderOutput(token_states=x, pooled=pooled), cache
 
     def _block_forward(self, i, x, key_mask, rate, rng, train, keep_cache=True,
                        rows=None, keep=None):
         """One post-norm block; returns (output, cache), the cache None unless
         ``keep_cache``.
 
-        ``x`` is (B, S, d), or, with ``rows`` (which keeps no cache), the
-        (R, d) matrix of the grid positions ``rows`` (batch indices, position
-        indices). Then q, k and v are set into a zero (B, S) grid for scores,
-        softmax and context, the context is gathered back at ``rows``, and the
-        block goes on with the rows of ``x`` numbered ``keep`` (all of them
-        when None).
+        ``x`` is (B, S, d), or, with ``rows``, the (R, d) matrix of the grid
+        positions ``rows`` (batch indices, position indices). Then q, k and v
+        are set into a zero (B, S) grid for scores, softmax and context, the
+        context is gathered back at ``rows``, and the block goes on with the
+        rows of ``x`` numbered ``keep`` (all of them when None); its dropout
+        masks are drawn on the (B, S, d) grid and taken at those rows.
         """
         p = self.params
         d = self.config.hidden_size
@@ -231,30 +293,33 @@ class Encoder:
         attn_d, attn_drop = L.dropout_forward(attn, rate, rng, train)
 
         ctx = (attn_d @ vh).transpose(0, 2, 1, 3)
+        out_rows = rows
         if rows is None:
             ctx = ctx.reshape(B, S, d)
         else:
             if keep is not None:
-                x, rows = x[keep], (rows[0][keep], rows[1][keep])
-            ctx = ctx[rows].reshape(-1, d)
+                x, out_rows = x[keep], (rows[0][keep], rows[1][keep])
+            ctx = ctx[out_rows].reshape(-1, d)
+        grid = None if rows is None else ((B, S, d), out_rows)
         out, out_cache = L.linear_forward(ctx, p[f"blk{i}.attn.wo"], p[f"blk{i}.attn.bo"])
-        out, out_drop = L.dropout_forward(out, rate, rng, train)
+        out, out_drop = L.dropout_forward(out, rate, rng, train, grid)
         h1, ln1_cache = L.layernorm_forward(x + out, p[f"blk{i}.ln1.g"], p[f"blk{i}.ln1.b"])
 
         u, ff1_cache = L.linear_forward(h1, p[f"blk{i}.ff.w1"], p[f"blk{i}.ff.b1"])
         g, gelu_cache = L.gelu_forward(u)
         f, ff2_cache = L.linear_forward(g, p[f"blk{i}.ff.w2"], p[f"blk{i}.ff.b2"])
-        f, ff_drop = L.dropout_forward(f, rate, rng, train)
+        f, ff_drop = L.dropout_forward(f, rate, rng, train, grid)
         h2, ln2_cache = L.layernorm_forward(h1 + f, p[f"blk{i}.ln2.g"], p[f"blk{i}.ln2.b"])
 
         if not keep_cache:
             return h2, None
         return h2, {
             "q": q_cache, "k": k_cache, "v": v_cache, "qh": qh, "kh": kh, "vh": vh,
-            "attn": attn, "attn_d": attn_d, "attn_drop": attn_drop, "ctx": ctx,
+            "attn": attn, "attn_d": attn_d, "attn_drop": attn_drop,
             "out_cache": out_cache, "out_drop": out_drop, "ln1": ln1_cache,
             "ff1": ff1_cache, "gelu": gelu_cache, "ff2": ff2_cache,
             "ff_drop": ff_drop, "ln2": ln2_cache, "shape": (B, S, H, dh),
+            "rows": rows, "keep": keep, "out_rows": out_rows,
         }
 
     def encode(self, tokens, mask, pooled_only: bool = False) -> EncoderOutput:
@@ -275,21 +340,27 @@ class Encoder:
     def backward(self, cache, d_states=None, d_pooled=None, grads=None) -> dict:
         """Backprop through the encoder body; returns the name -> gradient dict.
 
-        Gradients are added into ``grads`` when it is given (several passes of
-        one step share one buffer), else into a fresh ``zero_grads()``. Each
-        gradient is rounded to its buffer's dtype before it is added, so two
-        passes into one buffer give the same numbers as summing two buffers.
+        ``d_states`` is (B, S, d) and ``d_pooled`` (B, d) in every mode; after
+        a forward with ``positions`` only the gradients at those positions are
+        read. Gradients are added into ``grads`` when it is given (several
+        passes of one step share one buffer), else into a fresh
+        ``zero_grads()``. Each gradient is rounded to its buffer's dtype before
+        it is added, so two passes into one buffer give the same numbers as
+        summing two buffers.
         """
         cfg = self.config
         blocks = cache["blocks"]
         B = cache["tokens"].shape[0]
         S = cache["seq_len"]
+        rows = cache["rows"]
         d = cfg.hidden_size
         dx = np.zeros((B, S, d), dtype=self.dtype)
         if d_states is not None:
             dx += d_states
         if d_pooled is not None:
             dx[:, 0] += d_pooled
+        if rows is not None:
+            dx = dx[cache["positions"]]
 
         if grads is None:
             grads = self.zero_grads()
@@ -300,14 +371,19 @@ class Encoder:
         dx, dg, db = L.layernorm_backward(dx, cache["emb_ln"])
         _add(grads, "emb_ln.g", dg)
         _add(grads, "emb_ln.b", db)
-        L.scatter_add_rows(grads["tok_emb"], cache["tokens"], dx)
-        grads["pos_emb"][:S] += dx.sum(axis=0).astype(self.dtype, copy=False)
+        if rows is None:
+            L.scatter_add_rows(grads["tok_emb"], cache["tokens"], dx)
+            grads["pos_emb"][:S] += dx.sum(axis=0).astype(self.dtype, copy=False)
+        else:
+            L.scatter_add_rows(grads["tok_emb"], cache["tokens"][rows], dx)
+            L.scatter_add_rows(grads["pos_emb"], rows[1], dx)
         return grads
 
     def _block_backward(self, i, dh2, c, grads):
         p = self.params
         B, S, H, dh = c["shape"]
         d = H * dh
+        rows = c["rows"]
 
         dresid2, dg, db = L.layernorm_backward(dh2, c["ln2"])
         _add(grads, f"blk{i}.ln2.g", dg)
@@ -330,7 +406,7 @@ class Encoder:
         _add(grads, f"blk{i}.attn.wo", dw)
         _add(grads, f"blk{i}.attn.bo", db)
 
-        dctx_h = dctx.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+        dctx_h = _grid(dctx, c["out_rows"], B, S).reshape(B, S, H, dh).transpose(0, 2, 1, 3)
         dattn_d = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
         dvh = c["attn_d"].transpose(0, 1, 3, 2) @ dctx_h
         dattn = L.dropout_backward(dattn_d, c["attn_drop"])
@@ -339,10 +415,14 @@ class Encoder:
         dqh = dscores @ c["kh"]
         dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
 
-        dq = dqh.transpose(0, 2, 1, 3).reshape(B, S, d)
-        dk = dkh.transpose(0, 2, 1, 3).reshape(B, S, d)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(B, S, d)
+        dq, dk, dv = (t.transpose(0, 2, 1, 3).reshape(B, S, d) for t in (dqh, dkh, dvh))
+        if rows is not None:
+            dq, dk, dv = dq[rows], dk[rows], dv[rows]
         dx = dresid1
+        if c["keep"] is not None:
+            # the rows the last block dropped past its attention
+            dx = np.zeros((rows[0].size, d), dtype=dresid1.dtype)
+            dx[c["keep"]] = dresid1
         for dvec, cache_key, w_name, b_name in (
                 (dq, "q", "wq", "bq"), (dk, "k", "wk", "bk"), (dv, "v", "wv", "bv")):
             dxi, dw, db = L.linear_backward(dvec, c[cache_key])
@@ -452,12 +532,7 @@ def load_checkpoint(path) -> Encoder:
         raise
     except (OSError, ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable checkpoint: {exc}") from exc
-    for kind, tensors, want in (
-            ("tensor", params, {n: shape for n, (shape, _) in param_layout(config).items()}),
-            ("buffer", buffers, {n: b.shape for n, b in init_buffers(config).items()})):
-        for name in [*want, *sorted(tensors.keys() - want.keys())]:
-            shape = tensors[name].shape if name in tensors else None
-            if shape != want.get(name):
-                raise CheckpointError(
-                    f"{path}: {kind} {name} is {shape}, its config wants {want.get(name)}")
-    return Encoder(config, params=params, buffers=buffers)
+    try:
+        return Encoder(config, params=params, buffers=buffers)
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc

@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import expit
 
 from .data import SPLITS, FilterIndex, KnowledgeGraph, Triple, Triples, build_filter_index
-from .encoder import Encoder
+from .encoder import Encoder, cls_positions
 from .layers import clip_global_norm, unit_rows
 from .optim import AdamW, TrainingDiverged, check_schedule, run_epochs
 from .evaluate import evaluate as evaluate_ranking
@@ -244,7 +244,7 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
     pair_layouts = [assemble_pair(cat, h, r, config.pair_max_len)
                     for h, r in zip(heads.tolist(), relations.tolist())]
     pair_out, pair_cache = encoder.forward(*stack_layouts(pair_layouts), train=True,
-                                           rng=rng)
+                                           rng=rng, positions=cls_positions(len(heads)))
 
     if config.negative_mode == "in_batch":
         ent_ids = tails
@@ -272,10 +272,12 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
     ent_layouts = [assemble_entity(cat, e, config.entity_max_len)
                    for e in ent_ids.tolist()]
     ent_out, ent_cache = encoder.forward(*stack_layouts(ent_layouts), train=True,
-                                         rng=rng)
-    if not (np.isfinite(pair_out.pooled).all() and np.isfinite(ent_out.pooled).all()):
+                                         rng=rng, positions=cls_positions(len(ent_ids)))
+    # the [CLS] states: the pooled vectors of both sides
+    pair_vectors, ent_vectors = pair_out.token_states, ent_out.token_states
+    if not (np.isfinite(pair_vectors).all() and np.isfinite(ent_vectors).all()):
         raise TrainingDiverged(-1, {}, [])
-    loss, l1, l2, dpair, dent = loss_and_vector_grads(pair_out.pooled, ent_out.pooled,
+    loss, l1, l2, dpair, dent = loss_and_vector_grads(pair_vectors, ent_vectors,
                                                       labels, fp, cell_mask)
 
     grads = encoder.backward(pair_cache, d_pooled=dpair)

@@ -116,10 +116,15 @@ def softmax_backward(dout, a):
     return a * (dout - (dout * a).sum(axis=-1, keepdims=True))
 
 
-def dropout_forward(x, rate, rng, train):
+def dropout_forward(x, rate, rng, train, grid=None):
+    """Inverted dropout. With ``grid`` = (shape, rows), ``x`` holds the elements
+    ``rows`` of an array of ``shape``: the mask is drawn for that whole array
+    and taken at ``rows``, so the rng stream and the kept elements are those of
+    a dropout over the full array."""
     if not train or rate <= 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate)
+    draw = rng.random(x.shape if grid is None else grid[0])
+    keep = ((draw if grid is None else draw[grid[1]]) >= rate).astype(x.dtype) / (1.0 - rate)
     return x * keep, keep
 
 

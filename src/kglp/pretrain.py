@@ -83,14 +83,16 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     # targets only exist inside the non-PAD content, so trimming cuts none
     x, mask, y1, y2 = stack_trimmed([s.layout.length for s in samples],
                                     [(s.x, s.mask, s.y1, s.y2) for s in samples])
-    out, cache = encoder.forward(x, mask, train=train, rng=rng)
     pos1 = y1 != PAD_ID
     pos2 = y2 != PAD_ID
     pos_any = pos1 | pos2
+    # the encoder computes the target rows only, in ``pos_any`` order
+    out, cache = encoder.forward(x, mask, train=train, rng=rng,
+                                 positions=np.nonzero(pos_any))
+    states = out.token_states
+    grid = (*x.shape, states.shape[1])
     if not pos_any.any():
-        zero = np.zeros_like(out.token_states)
-        return 0.0, 0.0, (cache, zero, {})
-    states = out.token_states[pos_any]
+        return 0.0, 0.0, (cache, np.zeros(grid, dtype=states.dtype), {})
     logits, head_cache = encoder.predict_tokens(states, train=train)
     # one NLL pass over every target row: the sampler never gives a position
     # both an item and a token target (``sampling.MLM_REGIONS`` excludes the
@@ -115,7 +117,7 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
 
     dlogits /= np.where(sel1, n1, n2).astype(dlogits.dtype)[:, None]
     _, dstates = encoder.head_backward(head_cache, dlogits, grads)
-    d_token_states = np.zeros_like(out.token_states)
+    d_token_states = np.zeros(grid, dtype=states.dtype)
     d_token_states[pos_any] = dstates
     return mlm_loss, mim_loss, (cache, d_token_states, task_losses)
 

@@ -320,11 +320,15 @@ def test_evaluate_splits_give_distinct_reports(cli_run, capsys):
     assert valid["per_query"] != test["per_query"]
 
 
-def test_evaluate_is_deterministic(cli_run):
-    first = json.loads((cli_run / "report_valid.json").read_text())
-    assert main(["evaluate", "--out", str(cli_run), "--split", "valid",
-                 "--force"]) == 0
-    second = json.loads((cli_run / "report_valid.json").read_text())
+def test_evaluate_is_deterministic(cli_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    evaluate = ["evaluate", "--out", str(run), "--split", "valid", "--force"]
+    assert main(evaluate) == 0
+    first = json.loads((run / "report_valid.json").read_text())
+    assert main(evaluate) == 0
+    capsys.readouterr()
+    second = json.loads((run / "report_valid.json").read_text())
     assert first == second
 
 

@@ -254,11 +254,21 @@ def _drop_buffer(params, buffers):
     del buffers["head.bn.var"]
 
 
+def _int_tok_emb(params, buffers):
+    params["tok_emb"] = params["tok_emb"].astype(np.int64)
+
+
+def _float64_w1(params, buffers):
+    params["blk0.ff.w1"] = params["blk0.ff.w1"].astype(np.float64)
+
+
 @pytest.mark.parametrize("edit, config, message", [
     (_drop, CFG, "tensor blk0.ff.w2 is None, its config wants (48, 32)"),
     (_extra, CFG, "tensor blk0.ff.w3 is (48, 32), its config wants None"),
     (_reshape, CFG, "tensor blk0.ff.w1 is (32, 40), its config wants (32, 48)"),
     (_drop_buffer, CFG, "buffer head.bn.var is None, its config wants (32,)"),
+    (_int_tok_emb, CFG, "tensor tok_emb is int64, not a floating dtype"),
+    (_float64_w1, CFG, "tensor blk0.ff.w1 is float64, tok_emb is float32"),
     (None, dataclasses.replace(CFG, num_layers=3),
      "tensor blk2.attn.wq is None, its config wants (32, 32)"),
 ])
@@ -273,6 +283,26 @@ def test_checkpoint_with_other_tensors_than_its_config_is_refused(tmp_path, edit
     with pytest.raises(CheckpointError) as info:
         load_checkpoint(path)
     assert str(info.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop, "tensor blk0.ff.w2 is None, its config wants (48, 32)"),
+    (_float64_w1, "tensor blk0.ff.w1 is float64, tok_emb is float32"),
+    (_drop_buffer, "buffer head.bn.var is None, its config wants (32,)"),
+])
+def test_encoder_refuses_tensors_other_than_its_layout(edit, message):
+    params, buffers = init_params(CFG, seed=0)
+    edit(params, buffers)
+    with pytest.raises(ValueError) as info:
+        Encoder(CFG, params=params, buffers=buffers)
+    assert str(info.value) == message
+
+
+def test_encoder_given_params_alone_makes_buffers_of_their_dtype():
+    params, _ = init_params(CFG, seed=0, dtype=np.float64)
+    enc = Encoder(CFG, params=params)
+    assert enc.dtype == np.float64
+    assert all(b.dtype == np.float64 for b in enc.buffers.values())
 
 
 def _gradcheck_setup():
