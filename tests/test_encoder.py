@@ -267,10 +267,10 @@ def _float64_w1(params, buffers):
     (_extra, CFG, "tensor blk0.ff.w3 is (48, 32), its config wants None"),
     (_reshape, CFG, "tensor blk0.ff.w1 is (32, 40), its config wants (32, 48)"),
     (_drop_buffer, CFG, "buffer head.bn.var is None, its config wants (32,)"),
-    (_int_tok_emb, CFG, "tensor tok_emb is int64, not a floating dtype"),
-    (_float64_w1, CFG, "tensor blk0.ff.w1 is float64, tok_emb is float32"),
     (None, dataclasses.replace(CFG, num_layers=3),
      "tensor blk2.attn.wq is None, its config wants (32, 32)"),
+    (_int_tok_emb, CFG, "tensor tok_emb is int64, not a floating dtype"),
+    (_float64_w1, CFG, "tensor blk0.ff.w1 is float64, tok_emb is float32"),
 ])
 def test_checkpoint_with_other_tensors_than_its_config_is_refused(tmp_path, edit, config,
                                                                   message):
