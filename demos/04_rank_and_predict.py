@@ -13,8 +13,7 @@ import numpy as np
 
 import kglp
 from kglp.evaluate import (aggregate_ranks, evaluate, precompute_entity_embeddings,
-                           queries_for_split, query_scores, rank_from_scores,
-                           table_unit_rows)
+                           queries_for_split, query_scores, rank_from_scores)
 from kglp.text import TokenizedCatalog, assemble_pair_tokens, tokenize
 
 root = Path(tempfile.mkdtemp(prefix="kglp_demo_"))
@@ -68,9 +67,9 @@ cat = TokenizedCatalog(kg, vocab)
 free = tokenize("a very hot sun", vocab)
 layout = assemble_pair_tokens(free, [], heats, cat, 32)
 table = precompute_entity_embeddings(encoder, cat, 16)
-# cosine scores: the query's unit vector against the table's unit rows, which
-# are computed once per table however many queries follow
-sims = query_scores(encoder, [layout], table_unit_rows(table))[0]
+# cosine scores: the query's unit vector against the table, whose rows were
+# normalised once, when it was built, however many queries follow
+sims = query_scores(encoder, [layout], table)[0]
 ranked = np.argsort(-sims)
 print("\nfree-text query 'a very hot sun' + 'heats up' ranks the catalog as:")
 for pos, e in enumerate(ranked, start=1):

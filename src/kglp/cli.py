@@ -35,7 +35,8 @@ from .data import (DATASET_FILES, DatasetError, augment_inverse, dataset_statist
                    known_completions, load_dataset, resplit_unseen, save_catalogs,
                    save_splits)
 from .encoder import CheckpointError, Encoder, EncoderConfig, load_checkpoint, save_checkpoint
-from .evaluate import evaluate, precompute_entity_embeddings, query_scores, table_unit_rows
+from .evaluate import (check_entity_table, evaluate, precompute_entity_embeddings,
+                       query_scores)
 from .files import atomic_write
 from .finetune import run_finetune
 from .optim import TrainingDiverged
@@ -311,6 +312,13 @@ def cmd_predict(args) -> int:
         raise ArtifactError(
             f"entity table {table_path} has {table.shape[0]} rows, but the catalog has "
             f"{kg.num_entities} entities; run `kglp finetune --out {out_dir} --force`")
+    try:
+        check_entity_table(table)
+    except ValueError as exc:
+        # a table written before tables held unit rows holds raw pooled vectors
+        raise ArtifactError(
+            f"{table_path}: {exc}; run `kglp finetune --out {out_dir} --force` "
+            f"to rebuild it") from None
 
     if not kg.has_relation(args.relation):
         raise ArtifactError(
@@ -331,7 +339,7 @@ def cmd_predict(args) -> int:
     check_widths(encoder.config.max_len,
                  ("finetune.pair_max_len", pair_max_len, [layout.length]))
 
-    scores = query_scores(encoder, [layout], table_unit_rows(table))[0]
+    scores = query_scores(encoder, [layout], table)[0]
     if not np.isfinite(scores).all():
         raise ValueError(f"checkpoint {ckpt_path} gives a non-finite query vector")
 

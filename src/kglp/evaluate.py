@@ -23,18 +23,16 @@ exists, so when the layout length is above 128 every batch keeps that length.
 ``evaluate`` times its three phases (entity table, query encodes, ranking) in
 ``RankingReport.phase_seconds``.
 
-An entity table is checked finite and normalised to unit rows once per table,
-not once per query: ``precompute_entity_embeddings`` returns a read-only array,
-and ``table_unit_rows`` keeps the unit rows of the last read-only table it saw.
-Callers who want to edit a table take a ``.copy()``; a writeable table is
-checked and normalised again on every call.
+An entity table is the unit rows of the pooled vectors, the rows that ranking
+reads: ``precompute_entity_embeddings`` normalises them once, when it builds
+the table, and returns a read-only array. ``check_entity_table`` is the one
+rule for what a table holds; ``kglp predict`` runs it on a stored table.
 """
 
 from __future__ import annotations
 
 import json
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -103,12 +101,28 @@ def queries_for_split(kg: KnowledgeGraph, split: str) -> list[RankingQuery]:
 def precompute_entity_embeddings(encoder: Encoder, cat: TokenizedCatalog,
                                  max_len: int = 32,
                                  batch_size: int = 256) -> np.ndarray:
-    """One pooled vector per catalog entity, in catalog order; deterministic
-    and read-only, so ``table_unit_rows`` can keep its unit rows."""
+    """The unit rows of one pooled vector per catalog entity, in catalog order;
+    deterministic and read-only. A non-finite vector raises ValueError."""
     layouts = [assemble_entity(cat, e, max_len) for e in range(cat.kg.num_entities)]
-    table = _encode_pooled(encoder, layouts, batch_size)
+    pooled = _encode_pooled(encoder, layouts, batch_size)
+    with np.errstate(invalid="ignore"):  # an inf row turns NaN, refused below
+        table = unit_rows(pooled)[0]
+    check_entity_table(table)
     table.flags.writeable = False
     return table
+
+
+def check_entity_table(table: np.ndarray) -> None:
+    """Raise ValueError unless every row is finite, with L2 norm 1 (to within
+    1e-6) or 0: the rows ``unit_rows`` makes, which ranking reads as given."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"entity table row {bad[0]} is not finite")
+    norms = np.linalg.norm(table, axis=-1)
+    bad = np.flatnonzero((np.abs(norms - 1.0) > 1e-6) & (norms != 0.0))
+    if bad.size:
+        raise ValueError(f"entity table row {bad[0]} has norm {norms[bad[0]]:.9g}, "
+                         f"not 1 or 0")
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
@@ -125,35 +139,9 @@ def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
     return pooled
 
 
-#: (weak reference to the last read-only table, its unit rows)
-_unit_slot: tuple | None = None
-
-
-def _forget_table(ref) -> None:
-    global _unit_slot
-    if _unit_slot is not None and _unit_slot[0] is ref:
-        _unit_slot = None
-
-
-def table_unit_rows(table: np.ndarray) -> np.ndarray:
-    """Unit rows of an entity table, which must be finite; kept for the last
-    read-only table until it is dropped, recomputed for a writeable one."""
-    global _unit_slot
-    slot = _unit_slot
-    if slot is not None and slot[0]() is table and not table.flags.writeable:
-        return slot[1]
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=-1))
-    if bad.size:
-        raise ValueError(f"entity table row {bad[0]} is not finite")
-    rows = unit_rows(table)[0]
-    if not table.flags.writeable:
-        _unit_slot = (weakref.ref(table, _forget_table), rows)
-    return rows
-
-
 def query_scores(encoder: Encoder, pair_layouts, table_unit: np.ndarray) -> np.ndarray:
     """Cosine scores (queries x entities) of pair layouts, encoded as one batch,
-    against unit-norm entity rows."""
+    against an entity table of unit rows."""
     pooled = _encode_pooled(encoder, pair_layouts, len(pair_layouts))
     return unit_rows(pooled)[0] @ table_unit.T
 
@@ -185,9 +173,10 @@ def rank_from_scores(scores: np.ndarray, gold: int,
 def rank_query(query: RankingQuery, encoder: Encoder, cat: TokenizedCatalog,
                entity_table: np.ndarray, filter_index: FilterIndex,
                pair_max_len: int = 96) -> int:
-    """Filtered rank of one query against the precomputed entity table."""
+    """Filtered rank of one query against ``entity_table``, unit rows as
+    ``precompute_entity_embeddings`` returns them."""
     layout = assemble_pair(cat, query.entity, query.relation, pair_max_len)
-    scores = query_scores(encoder, [layout], table_unit_rows(entity_table))[0]
+    scores = query_scores(encoder, [layout], entity_table)[0]
     return rank_from_scores(scores, query.gold,
                             filter_index.tails((query.entity, query.relation)))
 
@@ -231,7 +220,6 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
                   layout_lengths(cat, entity_max_len)))
     started = time.perf_counter()
     table = precompute_entity_embeddings(encoder, cat, entity_max_len, batch_size)
-    table_unit = table_unit_rows(table)
     phases["entity_table_s"] = time.perf_counter() - started
 
     pair_layouts = [assemble_pair(cat, q.entity, q.relation, pair_max_len)
@@ -240,7 +228,7 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
     per_query = []
     for start in range(0, len(queries), batch_size):
         chunk = queries[start:start + batch_size]
-        scores = query_scores(encoder, pair_layouts[start:start + batch_size], table_unit)
+        scores = query_scores(encoder, pair_layouts[start:start + batch_size], table)
         ranked = time.perf_counter()
         for j, q in enumerate(chunk):
             rank = rank_from_scores(scores[j], q.gold,

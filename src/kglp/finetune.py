@@ -321,7 +321,8 @@ def run_finetune(kg: KnowledgeGraph, vocab: Vocabulary, encoder: Encoder,
         if (epoch + 1) % config.eval_every == 0 or epoch == config.epochs - 1:
             val = evaluate_ranking(
                 kg, encoder, "valid", vocab=vocab, cat=cat, filter_index=eval_filter,
-                pair_max_len=config.pair_max_len, entity_max_len=config.entity_max_len)
+                pair_max_len=config.pair_max_len, entity_max_len=config.entity_max_len,
+                collect_per_query=False)
             return ({"val_hits10": val.hits10, "val_mrr": val.mrr, "val_mr": val.mr},
                     val.hits10)
         return {}, None

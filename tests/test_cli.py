@@ -570,7 +570,7 @@ def test_non_finite_checkpoint_evaluate_and_predict_exit_2(cli_dataset, tmp_path
         assert main(predict) == 2
         assert "entity table row 0 is not finite" in capsys.readouterr().err
         # a finite table cannot hide a non-finite query vector
-        np.savez(out / "entity_table.npz", table=np.ones((n, 32)),
+        np.savez(out / "entity_table.npz", table=np.full((n, 32), 32 ** -0.5),
                  checkpoint_sha256=sha)
         assert main(predict) == 2
     captured = capsys.readouterr()
@@ -653,6 +653,22 @@ def test_predict_refuses_table_of_another_catalog(cli_run, tmp_path, capsys):
                  "--relation", "linksto", "-k", "10000"]) == 2
     captured = capsys.readouterr()
     assert f"{len(table) + 1} rows" in captured.err and "kglp finetune" in captured.err
+    assert captured.out == ""
+
+
+def test_predict_refuses_a_table_of_raw_rows(cli_run, tmp_path, capsys):
+    # tables written before tables held unit rows hold raw pooled vectors
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    with np.load(run / "entity_table.npz") as data:
+        table, sha = data["table"], data["checkpoint_sha256"]
+    np.savez(run / "entity_table.npz", table=2.0 * table, checkpoint_sha256=sha)
+    assert main(["predict", "--out", str(run), "--head", "a001",
+                 "--relation", "linksto", "-k", "3"]) == 2
+    captured = capsys.readouterr()
+    assert "entity table row 0 has norm 2, not 1 or 0" in captured.err
+    assert "entity_table.npz" in captured.err
+    assert f"kglp finetune --out {run} --force" in captured.err
     assert captured.out == ""
 
 

@@ -1,17 +1,14 @@
-import gc
 import importlib
 import json
-import weakref
 
 import numpy as np
 import pytest
 
 import kglp
 from kglp.data import build_filter_index
-from kglp.evaluate import (RankingQuery, aggregate_ranks, evaluate,
-                           precompute_entity_embeddings, queries_for_split,
-                           query_scores, rank_from_scores, rank_query,
-                           table_unit_rows)
+from kglp.evaluate import (RankingQuery, aggregate_ranks, check_entity_table,
+                           evaluate, precompute_entity_embeddings, queries_for_split,
+                           query_scores, rank_from_scores, rank_query)
 from kglp.layers import unit_rows
 from kglp.text import TokenizedCatalog, assemble_pair
 
@@ -207,18 +204,17 @@ def test_unit_rows_zero_vector():
     assert np.allclose(np.linalg.norm(rows[1]), 1.0)
 
 
-def count_unit_rows(monkeypatch, counted=lambda x: True):
+def unit_rows_shapes(monkeypatch):
     """Patch the ``unit_rows`` that ``kglp.evaluate`` calls; returns the list
-    that gets one entry per call whose argument ``counted`` accepts."""
-    calls = []
+    that gets the shape of each call's argument."""
+    shapes = []
 
-    def counting(x):
-        if counted(x):
-            calls.append(1)
+    def spy(x):
+        shapes.append(x.shape)
         return unit_rows(x)
 
-    monkeypatch.setattr(evaluate_module, "unit_rows", counting)
-    return calls
+    monkeypatch.setattr(evaluate_module, "unit_rows", spy)
+    return shapes
 
 
 def test_entity_table_is_read_only(toy_aug, toy_vocab):
@@ -233,10 +229,12 @@ def test_rank_query_normalises_a_table_once(toy_aug, toy_vocab, monkeypatch):
     enc = tiny_encoder(toy_vocab.size, seed=5)
     cat = TokenizedCatalog(toy_aug, toy_vocab)
     filt = build_filter_index(toy_aug)
+    shapes = unit_rows_shapes(monkeypatch)
     table = precompute_entity_embeddings(enc, cat, 16)
+    assert shapes == [table.shape]
     queries = queries_for_split(toy_aug, "test")
     want = [query_scores(enc, [assemble_pair(cat, q.entity, q.relation, 32)],
-                         unit_rows(table)[0])[0] for q in queries]
+                         table)[0] for q in queries]
 
     seen = []
     real_rank = evaluate_module.rank_from_scores
@@ -246,16 +244,17 @@ def test_rank_query_normalises_a_table_once(toy_aug, toy_vocab, monkeypatch):
         return real_rank(scores, gold, known_true)
 
     monkeypatch.setattr(evaluate_module, "rank_from_scores", spy)
-    calls = count_unit_rows(monkeypatch, lambda x: x is table)
+    shapes.clear()
     for i in range(50):
         rank_query(queries[i % len(queries)], enc, cat, table, filt, pair_max_len=32)
-    assert len(calls) == 1
+    # only the query vectors are normalised, never the table again
+    assert shapes == [(1, table.shape[1])] * 50
     assert len(seen) == 50
     for i, scores in enumerate(seen):
         assert np.array_equal(scores, want[i % len(queries)])
 
 
-def test_edited_writeable_table_is_renormalised(toy_aug, toy_vocab):
+def test_edited_table_copy_is_scored_as_given(toy_aug, toy_vocab):
     enc = tiny_encoder(toy_vocab.size, seed=3)
     cat = TokenizedCatalog(toy_aug, toy_vocab)
     filt = build_filter_index(toy_aug)
@@ -265,49 +264,44 @@ def test_edited_writeable_table_is_renormalised(toy_aug, toy_vocab):
               for q in queries_for_split(toy_aug, "test")]
     q, before = next((q, r) for q, r in ranked if r > 1)
     assert rank_query(q, enc, cat, table, filt, pair_max_len=32) == before
-    # every candidate but the gold now points away from the query
-    pooled = evaluate_module._encode_pooled(
-        enc, [assemble_pair(cat, q.entity, q.relation, 32)], 1)[0]
-    table[np.arange(len(table)) != q.gold] = -pooled
+    # every candidate but the gold now points away from the query at twice unit
+    # length, and is scored at that length, not renormalised
+    layout = assemble_pair(cat, q.entity, q.relation, 32)
+    query = unit_rows(evaluate_module._encode_pooled(enc, [layout], 1))[0][0]
+    others = np.arange(len(table)) != q.gold
+    table[others] = -2.0 * query
+    scores = query_scores(enc, [layout], table)[0]
+    assert np.allclose(scores[others], -2.0)
     assert rank_query(q, enc, cat, table, filt, pair_max_len=32) == 1
 
 
-def test_dropped_table_frees_its_rows_and_a_new_table_is_served(
-        toy_aug, toy_vocab, monkeypatch):
-    cat = TokenizedCatalog(toy_aug, toy_vocab)
-    enc_a = tiny_encoder(toy_vocab.size, seed=0)
-    enc_b = tiny_encoder(toy_vocab.size, seed=1)
-    calls = count_unit_rows(monkeypatch)
-
-    old = precompute_entity_embeddings(enc_a, cat, 16)
-    table_unit_rows(old)
-    # the old table's weak reference, and so its callback, outlives its turn in
-    # the slot, as it does while a lookup that read the slot is still running
-    stale_slot = evaluate_module._unit_slot
-    assert stale_slot[0]() is old
-    new = precompute_entity_embeddings(enc_b, cat, 16)
-    assert np.array_equal(table_unit_rows(new), unit_rows(new)[0])
-    assert len(calls) == 2
-    # dropping the old table must not evict the new one's rows
-    del old
-    gc.collect()
-    table_unit_rows(new)
-    assert len(calls) == 2
-    # dropping the cached table frees its rows
-    rows = weakref.ref(table_unit_rows(new))
-    del new
-    gc.collect()
-    assert rows() is None
-    rebuilt = precompute_entity_embeddings(enc_a, cat, 16)
-    assert np.array_equal(table_unit_rows(rebuilt), unit_rows(rebuilt)[0])
-    assert len(calls) == 3
-
-
-def test_table_unit_rows_rejects_non_finite_rows():
-    table = np.ones((4, 3))
+def test_entity_table_check_rejects_non_finite_and_non_unit_rows(toy_aug, toy_vocab,
+                                                                monkeypatch):
+    table = np.zeros((4, 3))
+    table[:3, 0] = 1.0
+    table[1, 0] = 1.0 + 5e-7  # within 1e-6 of unit norm
+    check_entity_table(table)  # unit rows and a zero row
+    table[1, 0] = 1.0 + 2e-6
+    with pytest.raises(ValueError, match="row 1 has norm 1.000002, not 1 or 0"):
+        check_entity_table(table)
+    table[1, 0] = 2.0
+    with pytest.raises(ValueError, match="row 1 has norm 2, not 1 or 0"):
+        check_entity_table(table)
     table[2, 1] = np.inf
     with pytest.raises(ValueError, match="row 2 is not finite"):
-        table_unit_rows(table)
-    table.flags.writeable = False
+        check_entity_table(table)
+    table[2, 1] = np.nan
     with pytest.raises(ValueError, match="row 2 is not finite"):
-        table_unit_rows(table)
+        check_entity_table(table)
+
+    real_encode = evaluate_module._encode_pooled
+
+    def with_inf_row(*args):
+        pooled = real_encode(*args)
+        pooled[2, 0] = np.inf
+        return pooled
+
+    monkeypatch.setattr(evaluate_module, "_encode_pooled", with_inf_row)
+    with pytest.raises(ValueError, match="row 2 is not finite"):
+        precompute_entity_embeddings(tiny_encoder(toy_vocab.size),
+                                     TokenizedCatalog(toy_aug, toy_vocab), 16)

@@ -13,13 +13,13 @@ from kglp.data import Triple, Triples, build_filter_index
 from kglp.finetune import (FinetuneConfig, FocalParams, abs_diff_sums,
                            build_label_matrix, finetune_step, joint_loss,
                            loss_and_vector_grads, run_finetune, score_batch)
-from kglp.evaluate import evaluate, precompute_entity_embeddings
+from kglp.evaluate import _encode_pooled, evaluate, precompute_entity_embeddings
 from kglp.optim import AdamW
 from kglp.pretrain import TrainingDiverged
-from kglp.text import TokenizedCatalog
+from kglp.text import TokenizedCatalog, assemble_entity
 
 from util import (filter_from_mapping, naive_cosine, naive_label_matrix, reference_finetune_report,
-                  reference_ranks, reference_run_finetune, rel_error,
+                  reference_ranks, reference_run_finetune, reference_unit_rows, rel_error,
                   scalar_joint_loss)
 
 
@@ -374,8 +374,10 @@ def test_step_report_table_and_ranks_match_reference(pair_kg, pair_vocab, mode):
         assert (report.loss, report.l1_mean, report.l2_mean, report.n_pos,
                 report.n_neg) == want
     table, ranks = reference_ranks(enc, cat, pair_kg, "valid", 32, 12, batch_size=7)
+    layouts = [assemble_entity(cat, e, 12) for e in range(pair_kg.num_entities)]
+    assert np.array_equal(_encode_pooled(enc, layouts, 7), table)
     assert np.array_equal(precompute_entity_embeddings(enc, cat, 12, batch_size=7),
-                          table)
+                          reference_unit_rows(table))
     report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
                       entity_max_len=12, batch_size=7)
     assert [q["rank"] for q in report.per_query] == ranks

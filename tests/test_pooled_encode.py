@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 import kglp
 from kglp import layers
 from kglp.data import build_filter_index
-from kglp.evaluate import (RankingQuery, evaluate, precompute_entity_embeddings,
-                           queries_for_split, query_scores, rank_from_scores,
-                           rank_query, table_unit_rows)
+from kglp.evaluate import (RankingQuery, _encode_pooled, evaluate,
+                           precompute_entity_embeddings, queries_for_split,
+                           query_scores, rank_from_scores, rank_query)
 from kglp.text import TokenizedCatalog, assemble_entity, assemble_pair
 
 from util import (reference_encode_pooled, reference_encode_states,
@@ -136,19 +136,20 @@ def test_table_scores_and_ranks_match_reference(pair_kg, pair_vocab, num_layers,
     # entity layouts are 10 tokens long, so a 12-token cap cuts the batch width
     ent_layouts = [assemble_entity(cat, e, 12) for e in range(pair_kg.num_entities)]
     table = reference_encode_pooled(enc, ent_layouts, batch_size)
+    assert np.array_equal(_encode_pooled(enc, ent_layouts, batch_size), table)
     got = precompute_entity_embeddings(enc, cat, 12, batch_size=batch_size)
-    assert np.array_equal(got, table)
+    table_unit = reference_unit_rows(table)
+    assert np.array_equal(got, table_unit)
 
     queries = queries_for_split(pair_kg, "valid")
     pair_layouts = [assemble_pair(cat, q.entity, q.relation, 32) for q in queries]
-    table_unit = reference_unit_rows(table)
     filt = build_filter_index(pair_kg)
     ranks = []
     for start in range(0, len(queries), batch_size):
         chunk = pair_layouts[start:start + batch_size]
         scores = reference_unit_rows(reference_encode_pooled(enc, chunk, batch_size)) \
             @ table_unit.T
-        assert np.array_equal(query_scores(enc, chunk, table_unit_rows(got)), scores)
+        assert np.array_equal(query_scores(enc, chunk, got), scores)
         ranks += [rank_from_scores(row, q.gold, filt[(q.entity, q.relation)])
                   for row, q in zip(scores, queries[start:start + batch_size])]
     report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
@@ -193,8 +194,10 @@ def test_length_sorted_table_matches_catalog_order_reference(straddling_catalog,
                              _widths([layouts[i] for i in order], batch_size)))
         assert [by_length[i] for i in range(len(layouts))] != _widths(layouts, batch_size)
     enc = small_encoder(cat.vocab.size, num_layers, seed=3)
+    want = reference_encode_pooled(enc, layouts, batch_size)
+    assert np.array_equal(_encode_pooled(enc, layouts, batch_size), want)
     table = precompute_entity_embeddings(enc, cat, 32, batch_size=batch_size)
-    assert np.array_equal(table, reference_encode_pooled(enc, layouts, batch_size))
+    assert np.array_equal(table, reference_unit_rows(want))
 
 
 @pytest.fixture(scope="module")
