@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, encoder_settings, load_run_config
-from .data import (DATASET_FILES, DatasetError, augment_inverse, dataset_statistics,
-                   known_completions, load_dataset, resplit_unseen, save_catalogs,
+from .data import (DATASET_FILES, DatasetError, augment_inverse, build_filter_index,
+                   dataset_statistics, load_dataset, resplit_unseen, save_catalogs,
                    save_splits)
 from .encoder import CheckpointError, Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .evaluate import (check_entity_table, evaluate, precompute_entity_embeddings,
@@ -343,11 +343,10 @@ def cmd_predict(args) -> int:
     if not np.isfinite(scores).all():
         raise ValueError(f"checkpoint {ckpt_path} gives a non-finite query vector")
 
-    known = set()
-    if args.filtered and filter_key is not None:
-        known = known_completions(kg, filter_key)
     order = np.argsort(-scores, kind="stable")
-    for rank, idx in enumerate(order[~np.isin(order, list(known))][:args.k], start=1):
+    if args.filtered and filter_key is not None:
+        order = order[~np.isin(order, build_filter_index(kg).tails(filter_key))]
+    for rank, idx in enumerate(order[:args.k], start=1):
         print(f"{rank:>3} {scores[idx]: .4f}  {kg.entity_ids[idx]}  {kg.entity_names[idx]}")
     return 0
 
@@ -405,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", required=True, help="relation identifier")
     p.add_argument("-k", type=int, default=10)
     p.add_argument("--filtered", action="store_true",
-                   help="hide known-true completions")
+                   help="hide the known completions of a catalog head, from the "
+                        "filter index evaluate uses (a free-text head is unfiltered)")
     p.add_argument("--checkpoint", help="default <out>/finetune.npz")
     p.set_defaults(func=cmd_predict)
     return parser

@@ -18,6 +18,7 @@ The filter index of known-true completions is one sorted array of distinct
 packed (head, relation, tail) codes, in which each key's tails are one run; its
 lookups return copies. ``build_filter_index`` builds it over a graph's splits;
 ``FilterIndex`` itself takes head, relation and tail columns and the catalog sizes.
+Filtered ranking, fine-tuning labels and ``kglp predict --filtered`` all read it.
 """
 
 from __future__ import annotations
@@ -449,31 +450,13 @@ class FilterIndex:
         return zip((keys // r).tolist(), (keys % r).tolist())
 
 
-def _filter_splits(kg: KnowledgeGraph, splits: tuple[str, ...]) -> list[Triples]:
-    """The splits whose triples complete their (head, relation) keys: the given
-    splits of an augmented graph."""
-    if not kg.augmented:
-        raise ValueError("filter index requires an augmented graph")
-    return [kg.splits[name] for name in splits]
-
-
 def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> FilterIndex:
     """Index all completions of every (entity, relation) key in the given splits."""
-    rows = [triples.array for triples in _filter_splits(kg, splits)]
+    if not kg.augmented:
+        raise ValueError("filter index requires an augmented graph")
+    rows = [kg.splits[name].array for name in splits]
     heads, relations, tails = np.concatenate(rows or [np.empty((0, 3), np.int64)]).T
     return FilterIndex(heads, relations, tails, kg.num_entities, kg.num_relations, splits)
-
-
-def known_completions(kg: KnowledgeGraph, key: tuple[int, int],
-                      splits: tuple[str, ...] = SPLITS) -> set[int]:
-    """``build_filter_index(kg, splits)[key]`` without indexing every other key:
-    one mask over each split's head and relation columns."""
-    head, relation = key
-    found = set()
-    for triples in _filter_splits(kg, splits):
-        heads, relations, tails = triples.array.T
-        found.update(tails[(heads == head) & (relations == relation)].tolist())
-    return found
 
 
 def resplit_unseen(kg: KnowledgeGraph, ratio: float, seed: int) -> KnowledgeGraph:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import kglp
-from kglp.data import (DatasetError, Triple, TripleParseError, known_completions,
-                       load_catalogs, save_catalogs, save_splits)
+from kglp.data import (DatasetError, Triple, TripleParseError, load_catalogs, save_catalogs,
+                       save_splits)
 
 from util import write_dataset
 
@@ -216,16 +216,6 @@ def test_dataset_statistics_reports_original_relation_count(toy_kg, toy_aug):
     aug_stats = kglp.dataset_statistics(toy_aug)
     assert aug_stats["relations"] == 2
     assert aug_stats["train"] == 6
-
-
-def test_known_completions_match_filter_index(pair_kg):
-    index = kglp.build_filter_index(pair_kg)
-    for key in list(index.keys())[:40] + [(0, 10 ** 6)]:
-        assert known_completions(pair_kg, key) == index[key]
-    train = kglp.build_filter_index(pair_kg, ("train",))
-    key = next(iter(train.keys()))
-    assert known_completions(pair_kg, key, ("train",)) == train[key]
-
 
 
 def test_filter_index_lookup_is_a_copy(toy_aug):

@@ -83,9 +83,14 @@ def test_queries_for_split_two_per_original_triple(toy_aug):
     assert RankingQuery(t.tail, toy_aug.inverse_relation(t.relation), t.head) in queries
 
 
-def test_queries_require_augmented(toy_kg):
-    with pytest.raises(ValueError, match="augmented"):
-        queries_for_split(toy_kg, "test")
+@pytest.mark.parametrize("build, message", [
+    (build_filter_index, "filter index requires an augmented graph"),
+    (lambda kg: queries_for_split(kg, "test"), "requires an inverse-augmented graph"),
+], ids=["build_filter_index", "queries_for_split"])
+def test_non_augmented_graph_is_refused(toy_kg, toy_aug, build, message):
+    with pytest.raises(ValueError, match=message):
+        build(toy_kg)
+    assert len(build(toy_aug)) > 0
 
 
 def test_evaluate_rejects_bad_split(toy_aug, toy_vocab):

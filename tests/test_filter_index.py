@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kglp
-from kglp.data import (SPLITS, FilterIndex, KnowledgeGraph, Triple, build_filter_index,
-                       known_completions)
+from kglp.data import SPLITS, FilterIndex, KnowledgeGraph, Triple, build_filter_index
 from kglp.finetune import build_label_matrix
 
 from util import filter_from_mapping, naive_label_matrix
@@ -77,15 +76,6 @@ def test_index_matches_dict_of_sets(case, probes):
     assert_matches(built, truth, probes)
     from_mapping = filter_from_mapping(truth, splits)
     assert_matches(from_mapping, truth, probes)
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=graphs(), probes=st.lists(probe, max_size=10))
-def test_known_completions_match_index_for_every_key(case, probes):
-    kg, splits = case
-    index = build_filter_index(kg, splits)
-    for key in list(index.keys()) + probes:
-        assert known_completions(kg, key, splits) == index[key]
 
 
 @settings(max_examples=100, deadline=None)
