@@ -4,7 +4,12 @@ Pipeline: load a triple dataset, augment it with inverse relations, pre-train a
 compact text encoder on masked-triple objectives, fine-tune it as a Siamese
 bi-encoder with in-batch negatives, and evaluate filtered ranking metrics over
 the entity catalog. Pure numpy/scipy; no accelerator required.
+
+Importing kglp raises glibc's mmap and trim thresholds once (``kglp._heap``),
+so memory a training step frees stays in the process for the next step.
 """
+
+from . import _heap
 
 from .data import (FilterIndex, KnowledgeGraph, Triple, augment_inverse,
                    build_filter_index, dataset_statistics, load_dataset,
@@ -22,6 +27,8 @@ from .text import (SequenceLayout, TokenizedCatalog, Vocabulary, assemble_entity
                    assemble_pair, assemble_triple, build_vocab, tokenize)
 
 __version__ = "0.1.0"
+
+_heap.keep_freed_memory(_heap.glibc_mallopt())
 
 __all__ = [
     "FilterIndex", "KnowledgeGraph", "Triple", "augment_inverse",

@@ -514,9 +514,11 @@ def save_splits(kg: KnowledgeGraph, directory) -> None:
     """Write the splits back out as a dataset directory (plus text files).
 
     The output is itself loadable by :func:`load_dataset`, which is how resplit
-    results are materialized. Every file is written to a temporary file first
-    and moved into place only after all of them were written, so a failed
-    write leaves a previous dataset in ``directory`` as it was.
+    results are materialized. An augmented graph is written as its base graph,
+    without the inverse relations and their mirror triples, which
+    ``augment_inverse`` rebuilds. Every file is written to a temporary file
+    first and moved into place only after all of them were written, so a
+    failed write leaves a previous dataset in ``directory`` as it was.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -526,9 +528,11 @@ def save_splits(kg: KnowledgeGraph, directory) -> None:
 
     entity_ids = np.array(kg.entity_ids, dtype=object)
     relation_ids = np.array(kg.relation_ids, dtype=object)
+    n = kg.num_relations // 2 if kg.augmented else kg.num_relations
     files = {}
     for name, fname in zip(SPLITS, DATASET_FILES):
-        heads, relations, tails = kg.splits[name].array.T
+        rows = kg.splits[name].array
+        heads, relations, tails = rows[rows[:, 1] < n].T
         files[fname] = lines(zip(entity_ids[heads], relation_ids[relations],
                                  entity_ids[tails]))
     names_file, longs_file, rel_file = DATASET_FILES[len(SPLITS):]
@@ -536,7 +540,6 @@ def save_splits(kg: KnowledgeGraph, directory) -> None:
     if any(kg.entity_descriptions):
         files[longs_file] = lines(
             (raw, desc) for raw, desc in zip(kg.entity_ids, kg.entity_descriptions) if desc)
-    n = kg.num_relations // 2 if kg.augmented else kg.num_relations
     files[rel_file] = lines(zip(kg.relation_ids[:n], kg.relation_texts[:n]))
     with ExitStack() as stack:
         for fname, text in files.items():

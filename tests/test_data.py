@@ -209,6 +209,20 @@ def test_save_splits_roundtrip(tmp_path, toy_kg):
     assert again.entity_descriptions == toy_kg.entity_descriptions
 
 
+def test_save_splits_of_augmented_graph_reloads_the_base_graph(tmp_path, toy_kg, toy_aug):
+    # only the base triples are written, so re-augmenting the reloaded graph
+    # gives the augmented graph again, not a second round of inverses
+    save_splits(toy_aug, tmp_path / "rewritten")
+    again = kglp.load_dataset(tmp_path / "rewritten")
+    assert again.relation_ids == toy_kg.relation_ids
+    assert again.relation_texts == toy_kg.relation_texts
+    assert again.splits == toy_kg.splits
+    reaugmented = kglp.augment_inverse(again)
+    assert reaugmented.relation_ids == toy_aug.relation_ids
+    assert reaugmented.relation_texts == toy_aug.relation_texts
+    assert reaugmented.splits == toy_aug.splits
+
+
 def test_dataset_statistics_reports_original_relation_count(toy_kg, toy_aug):
     stats = kglp.dataset_statistics(toy_kg)
     assert stats == {"entities": 3, "relations": 2, "train": 3, "valid": 1,

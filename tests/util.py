@@ -228,7 +228,7 @@ def reference_save_splits(kg, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     for name in ("train", "valid", "test"):
         with open(directory / f"{name}.tsv", "w", encoding="utf-8") as fh:
-            for t in kg.splits[name]:
+            for t in (t for t in kg.splits[name] if not kg.relation_is_inverse[t.relation]):
                 fh.write(f"{kg.entity_ids[t.head]}\t{kg.relation_ids[t.relation]}"
                          f"\t{kg.entity_ids[t.tail]}\n")
     with open(directory / "entity2text.tsv", "w", encoding="utf-8") as fh:
