@@ -227,9 +227,6 @@ class KnowledgeGraph:
         half = self.num_relations // 2
         return relation + half if relation < half else relation - half
 
-    def all_triples(self) -> Triples:
-        return Triples._own(np.concatenate([self.splits[name].array for name in SPLITS]))
-
 
 def _read_triple_file(path: Path) -> list[tuple[str, str, str]]:
     triples = []
@@ -365,7 +362,8 @@ class FilterIndex:
 
     ``FilterIndex(heads, relations, tails, num_entities, num_relations, splits)``
     indexes the completions ``(heads[i], relations[i], tails[i])`` of a catalog
-    of the given sizes; duplicates are kept once, and an index outside the
+    of the given sizes. The columns are taken as int64 (a non-integer one
+    raises ``TypeError``), duplicates are kept once, and an index outside the
     catalog raises ``ValueError``. ``build_filter_index`` builds it over the
     requested splits of an augmented graph, so tail queries (h, r) and head
     queries (t, r_rev) are both covered by one tail-side pass.
@@ -391,11 +389,17 @@ class FilterIndex:
             raise ValueError(
                 f"{num_entities} entities x {num_relations} relations overflow the "
                 f"int64 packed codes of the filter index")
+        columns = []
         for name, column, size in (("head", heads, num_entities),
                                    ("relation", relations, num_relations),
                                    ("tail", tails, num_entities)):
+            column = np.asarray(column)
+            if not np.issubdtype(column.dtype, np.integer):
+                raise TypeError(f"filter index {name} column is {column.dtype}, not integer")
             if column.size and not 0 <= column.min() <= column.max() < size:
                 raise ValueError(f"filter index {name} outside the catalog [0, {size})")
+            columns.append(column.astype(np.int64, copy=False))
+        heads, relations, tails = columns
         self.splits = splits
         self._num_entities, self._num_relations = num_entities, num_relations
         codes = (heads * num_relations + relations) * num_entities + tails
@@ -425,6 +429,8 @@ class FilterIndex:
         """Boolean (len(heads), len(tails)) matrix: cell (i, j) is whether
         ``tails[j]`` completes the key ``(heads[i], relations[i])``."""
         e, r = self._num_entities, self._num_relations
+        heads, relations, tails = (np.asarray(a, dtype=np.int64)
+                                   for a in (heads, relations, tails))
         rows = (heads >= 0) & (heads < e) & (relations >= 0) & (relations < r)
         cols = (tails >= 0) & (tails < e)
         row_codes = (np.where(rows, heads, 0) * r + np.where(rows, relations, 0)) * e
@@ -503,11 +509,6 @@ def save_catalogs(kg: KnowledgeGraph, path) -> None:
     }
     with atomic_write(path, text=True) as fh:
         json.dump(payload, fh, ensure_ascii=False)
-
-
-def load_catalogs(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
 
 
 def save_splits(kg: KnowledgeGraph, directory) -> None:

@@ -7,17 +7,20 @@ logits for the masked-token objectives. Everything is trained from scratch;
 parameters live in a flat name -> array dict so the optimizer, checkpoints,
 and gradient checks can treat them uniformly.
 
-Training passes and the pooled-only inference encode compute real token rows
-only. ``forward(..., positions=(batch_idx, pos_idx))`` returns the states at
-those positions alone: the embedding, the linears, GeLU and the layer norms see
-the (R, d) matrix of real positions (mask 1, plus the asked-for positions), and
-only scores, softmax and context run on the padded (B, S) grid. The last block
-goes on past its attention with the asked-for rows alone, and ``backward`` runs
-the same layout in reverse. Fine-tuning asks for the [CLS] rows, pre-training
-for its target rows, and the pooled-only encode (``encode(..., pooled_only=True)``,
-which entity tables and query vectors use) for the [CLS] rows without backward
-caches. The states are bit-identical to the full forward's; the gradients
-differ from the full backward's only in the order of the weight-gradient sums.
+Every forward and backward runs one layout: the real token rows.
+``forward(..., positions=(batch_idx, pos_idx))`` returns the states at those
+positions alone (every position when None): the embedding, the linears, GeLU
+and the layer norms see the (R, d) matrix of real positions (mask 1, plus the
+asked-for positions), and only scores, softmax and context run on the padded
+(B, S) grid. The last block goes on past its attention with the asked-for rows
+alone, and ``backward`` runs the same layout in reverse. Fine-tuning asks for
+the [CLS] rows, pre-training for its target rows, and the pooled-only encode
+(``encode(..., pooled_only=True)``, which entity tables and query vectors use)
+for the [CLS] rows without backward caches. The states are bit-identical to a
+full-grid forward's, under three rules that keep every matrix product at two
+or more rows where the full grid's has them (see ``Encoder.forward``); the
+gradients differ from a full-grid backward's only in the order of the
+weight-gradient sums.
 """
 
 from __future__ import annotations
@@ -183,21 +186,25 @@ class Encoder:
         ``positions`` = (batch indices, position indices), distinct grid
         positions, returns the states at those positions only, as the (K, d)
         ``token_states`` in that order; ``backward`` then reads its gradients
-        there only. The real positions (mask 1) and the asked-for ones are
-        gathered into an (R, d) matrix after the embedding lookup, and the last
-        block goes on past its attention with the asked-for rows only. Dropout
-        masks are drawn on the (B, S, d) grid, in the full forward's order, and
-        taken at the rows, so the rng stream is the full forward's too.
-        ``pooled_only`` (inference only) asks for the [CLS] rows and returns
-        them as ``pooled``, with ``token_states`` and the cache None.
+        there only. ``positions=None`` asks for every position and returns the
+        (B, S, d) states with the [CLS] states as ``pooled``. ``pooled_only``
+        (inference only) asks for the [CLS] rows and returns them as
+        ``pooled``, with ``token_states`` and the cache None.
 
-        The states are bit-identical to the full forward's as long as BLAS
-        gives a row of a matrix-matrix product the same bits whatever the row
-        count. A batch of one, a sequence of one position, or fewer than two
-        asked-for positions keep the full forward's shapes and gather the
-        states at the end: NumPy hands a one-row product to a matrix-vector
-        kernel that sums in another order, and for one sequence the gathers
-        cost more than the few PAD rows they skip.
+        The real positions (mask 1) and the asked-for ones are gathered into
+        an (R, d) matrix after the embedding lookup. Dropout masks are drawn
+        on the (B, S, d) grid, in a full-grid forward's order, and taken at the
+        rows, so the rng stream is the full-grid forward's too. The states are
+        bit-identical to a full-grid forward's as long as BLAS gives a row of a
+        matrix-matrix product the same bits whatever the row count. NumPy hands
+        a one-row product to a matrix-vector kernel that sums in another order,
+        so three rules give a product one row only where the full grid's has:
+
+        1. the last block cuts to the K asked-for rows only when 2 <= K < R;
+        2. fewer than two rows (one sequence with one real token) take the
+           whole grid;
+        3. on a one-position grid (S = 1) the rows are held as (R, 1, d): the
+           full grid's (B, 1, d) products are B matrix-vector products.
         """
         cfg, p = self.config, self.params
         tokens = np.asarray(tokens)
@@ -229,51 +236,52 @@ class Encoder:
             raise ValueError("training-mode forward with dropout needs an rng")
 
         key_mask = mask.astype(bool)  # (B, S)
-        rows = keep = None
-        if positions is not None and B > 1 and S > 1 and positions[0].size > 1:
-            real = key_mask.copy()
-            real[positions] = True
-            rows = np.nonzero(real)
-            row_of = np.zeros((B, S), dtype=np.intp)
-            row_of[rows] = np.arange(rows[0].size)
-            keep = row_of[positions]
-        if rows is None:
-            x = p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :]
-        else:
-            x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows[1]]
+        asked = np.nonzero(np.ones((B, S), dtype=bool)) if positions is None else positions
+        real = key_mask.copy()
+        real[asked] = True
+        if np.count_nonzero(real) < 2:  # rule 2
+            real[:] = True
+        rows = np.nonzero(real)
+        keep = np.cumsum(real).reshape(B, S)[asked] - 1  # row numbers of the asked-for
+        if S == 1:  # rule 3: index arrays of shape (R, 1) gather (R, 1, d)
+            rows, asked = (tuple(ix[:, None] for ix in t) for t in (rows, asked))
+        cut = 2 <= keep.size < rows[0].size  # rule 1
+
+        x = p["tok_emb"][tokens[rows]] + p["pos_emb"][rows[1]]
         x, emb_ln_cache = L.layernorm_forward(x, p["emb_ln.g"], p["emb_ln.b"])
-        x, emb_drop = L.dropout_forward(x, rate, rng, train,
-                                        None if rows is None else ((B, S, cfg.hidden_size), rows))
+        x, emb_drop = L.dropout_forward(x, rate, rng, train, ((B, S, cfg.hidden_size), rows))
 
         caches = []
         for i in range(cfg.num_layers):
-            x, blk_cache = self._block_forward(
-                i, x, key_mask, rate, rng, train, not pooled_only, rows,
-                keep if i == cfg.num_layers - 1 else None)
+            last_keep = keep if cut and i == cfg.num_layers - 1 else None
+            x, blk_cache = self._block_forward(i, x, rows, key_mask, rate, rng, train,
+                                               not pooled_only, last_keep)
             caches.append(blk_cache)
-        if positions is not None and rows is None:
-            x = x[positions]
+        if not cut:
+            x = x[keep]
+        d = cfg.hidden_size
+        x = x.reshape(B, S, d) if positions is None else x.reshape(keep.size, d)
         if pooled_only:
             return EncoderOutput(token_states=None, pooled=x), None
 
         cache = {
             "tokens": tokens, "emb_ln": emb_ln_cache, "emb_drop": emb_drop,
-            "blocks": caches, "seq_len": S, "rows": rows, "positions": positions,
+            "blocks": caches, "seq_len": S, "rows": rows, "positions": asked,
+            "keep": None if cut else keep,
         }
         pooled = x[:, 0] if positions is None else None
         return EncoderOutput(token_states=x, pooled=pooled), cache
 
-    def _block_forward(self, i, x, key_mask, rate, rng, train, keep_cache=True,
-                       rows=None, keep=None):
+    def _block_forward(self, i, x, rows, key_mask, rate, rng, train, keep_cache, keep):
         """One post-norm block; returns (output, cache), the cache None unless
         ``keep_cache``.
 
-        ``x`` is (B, S, d), or, with ``rows``, the (R, d) matrix of the grid
-        positions ``rows`` (batch indices, position indices). Then q, k and v
-        are set into a zero (B, S) grid for scores, softmax and context, the
-        context is gathered back at ``rows``, and the block goes on with the
-        rows of ``x`` numbered ``keep`` (all of them when None); its dropout
-        masks are drawn on the (B, S, d) grid and taken at those rows.
+        ``x`` holds the rows at the grid positions ``rows`` (batch indices,
+        position indices). q, k and v are set into a zero (B, S) grid for
+        scores, softmax and context, the context is gathered back at ``rows``,
+        and the block goes on with the rows of ``x`` numbered ``keep`` (all of
+        them when None); its dropout masks are drawn on the (B, S, d) grid and
+        taken at those rows.
         """
         p = self.params
         d = self.config.hidden_size
@@ -294,13 +302,10 @@ class Encoder:
 
         ctx = (attn_d @ vh).transpose(0, 2, 1, 3)
         out_rows = rows
-        if rows is None:
-            ctx = ctx.reshape(B, S, d)
-        else:
-            if keep is not None:
-                x, out_rows = x[keep], (rows[0][keep], rows[1][keep])
-            ctx = ctx[out_rows].reshape(-1, d)
-        grid = None if rows is None else ((B, S, d), out_rows)
+        if keep is not None:
+            x, out_rows = x[keep], tuple(ix[keep] for ix in rows)
+        ctx = ctx[out_rows].reshape(x.shape)
+        grid = ((B, S, d), out_rows)
         out, out_cache = L.linear_forward(ctx, p[f"blk{i}.attn.wo"], p[f"blk{i}.attn.bo"])
         out, out_drop = L.dropout_forward(out, rate, rng, train, grid)
         h1, ln1_cache = L.layernorm_forward(x + out, p[f"blk{i}.ln1.g"], p[f"blk{i}.ln1.b"])
@@ -340,27 +345,26 @@ class Encoder:
     def backward(self, cache, d_states=None, d_pooled=None, grads=None) -> dict:
         """Backprop through the encoder body; returns the name -> gradient dict.
 
-        ``d_states`` is (B, S, d) and ``d_pooled`` (B, d) in every mode; after
-        a forward with ``positions`` only the gradients at those positions are
-        read. Gradients are added into ``grads`` when it is given (several
-        passes of one step share one buffer), else into a fresh
-        ``zero_grads()``. Each gradient is rounded to its buffer's dtype before
-        it is added, so two passes into one buffer give the same numbers as
-        summing two buffers.
+        ``d_states`` is (B, S, d) and ``d_pooled`` (B, d) in every mode; only
+        the gradients at the forward's asked-for positions are read. Gradients
+        are added into ``grads`` when it is given (several passes of one step
+        share one buffer), else into a fresh ``zero_grads()``. Each gradient is
+        rounded to its buffer's dtype before it is added, so two passes into
+        one buffer give the same numbers as summing two buffers.
         """
         cfg = self.config
         blocks = cache["blocks"]
         B = cache["tokens"].shape[0]
         S = cache["seq_len"]
         rows = cache["rows"]
-        d = cfg.hidden_size
-        dx = np.zeros((B, S, d), dtype=self.dtype)
+        dx = np.zeros((B, S, cfg.hidden_size), dtype=self.dtype)
         if d_states is not None:
             dx += d_states
         if d_pooled is not None:
             dx[:, 0] += d_pooled
-        if rows is not None:
-            dx = dx[cache["positions"]]
+        dx = dx[cache["positions"]]
+        if cache["keep"] is not None:  # the last block kept every row
+            dx = _spread(dx, cache["keep"], rows)
 
         if grads is None:
             grads = self.zero_grads()
@@ -371,12 +375,8 @@ class Encoder:
         dx, dg, db = L.layernorm_backward(dx, cache["emb_ln"])
         _add(grads, "emb_ln.g", dg)
         _add(grads, "emb_ln.b", db)
-        if rows is None:
-            L.scatter_add_rows(grads["tok_emb"], cache["tokens"], dx)
-            grads["pos_emb"][:S] += dx.sum(axis=0).astype(self.dtype, copy=False)
-        else:
-            L.scatter_add_rows(grads["tok_emb"], cache["tokens"][rows], dx)
-            L.scatter_add_rows(grads["pos_emb"], rows[1], dx)
+        L.scatter_add_rows(grads["tok_emb"], cache["tokens"][rows], dx)
+        L.scatter_add_rows(grads["pos_emb"], rows[1], dx)
         return grads
 
     def _block_backward(self, i, dh2, c, grads):
@@ -415,14 +415,9 @@ class Encoder:
         dqh = dscores @ c["kh"]
         dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
 
-        dq, dk, dv = (t.transpose(0, 2, 1, 3).reshape(B, S, d) for t in (dqh, dkh, dvh))
-        if rows is not None:
-            dq, dk, dv = dq[rows], dk[rows], dv[rows]
-        dx = dresid1
-        if c["keep"] is not None:
-            # the rows the last block dropped past its attention
-            dx = np.zeros((rows[0].size, d), dtype=dresid1.dtype)
-            dx[c["keep"]] = dresid1
+        dq, dk, dv = (t.transpose(0, 2, 1, 3).reshape(B, S, d)[rows] for t in (dqh, dkh, dvh))
+        # the rows the last block dropped past its attention
+        dx = dresid1 if c["keep"] is None else _spread(dresid1, c["keep"], rows)
         for dvec, cache_key, w_name, b_name in (
                 (dq, "q", "wq", "bq"), (dk, "k", "wk", "bk"), (dv, "v", "wv", "bv")):
             dxi, dw, db = L.linear_backward(dvec, c[cache_key])
@@ -486,13 +481,19 @@ class Encoder:
 
 
 def _grid(t: np.ndarray, rows, B: int, S: int) -> np.ndarray:
-    """``t`` as a (B, S, d) grid: itself when ``rows`` is None, else its rows
-    set at the grid positions ``rows`` and zeros elsewhere."""
-    if rows is None:
-        return t
+    """``t``, the rows at the grid positions ``rows``, set into a zero
+    (B, S, d) grid."""
     grid = np.zeros((B, S, t.shape[-1]), dtype=t.dtype)
     grid[rows] = t
     return grid
+
+
+def _spread(dt: np.ndarray, keep: np.ndarray, rows) -> np.ndarray:
+    """``dt``, the gradients of the rows numbered ``keep`` of the matrix at the
+    grid positions ``rows``, set into zeros of that matrix's shape."""
+    full = np.zeros((*rows[0].shape, dt.shape[-1]), dtype=dt.dtype)
+    full[keep] = dt
+    return full
 
 
 def _add(grads: dict, name: str, g: np.ndarray) -> None:

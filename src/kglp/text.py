@@ -119,10 +119,6 @@ class SequenceLayout:
     spans: dict[str, tuple[int, int]]
     length: int
 
-    def region_tokens(self, region: str) -> np.ndarray:
-        begin, end = self.spans[region]
-        return self.tokens[begin:end]
-
 
 def _proportional_split(budget: int, len_a: int, len_b: int) -> tuple[int, int]:
     """Split ``budget`` positions over two regions proportionally to their lengths."""
@@ -132,11 +128,7 @@ def _proportional_split(budget: int, len_a: int, len_b: int) -> tuple[int, int]:
     if budget <= 0:
         return 0, 0
     keep_a = budget * len_a // total
-    keep_b = budget - keep_a
-    if keep_b > len_b:
-        keep_a += keep_b - len_b
-        keep_b = len_b
-    return keep_a, keep_b
+    return keep_a, budget - keep_a
 
 
 def _fit_regions(max_len: int, n_special: int, ent_a: list[int], desc_a: list[int],

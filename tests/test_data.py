@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import kglp
-from kglp.data import (DatasetError, Triple, TripleParseError, load_catalogs, save_catalogs,
+from kglp.data import (SPLITS, DatasetError, Triple, TripleParseError, save_catalogs,
                        save_splits)
 
 from util import write_dataset
@@ -117,8 +119,8 @@ def test_filter_index_requires_augmented(toy_kg):
 
 def test_filter_index_covers_every_triple_in_every_split(toy_aug):
     index = kglp.build_filter_index(toy_aug)
-    for t in toy_aug.all_triples():
-        assert t.tail in index[(t.head, t.relation)]
+    for head, relation, tail in np.concatenate([toy_aug.splits[n].array for n in SPLITS]):
+        assert tail in index[(head, relation)]
 
 
 def test_filter_index_completeness_randomized(tmp_path, rng):
@@ -127,8 +129,8 @@ def test_filter_index_completeness_randomized(tmp_path, rng):
         d = random_toy_dataset(tmp_path / f"kg{trial}", rng)
         kg = kglp.augment_inverse(kglp.load_dataset(d))
         index = kglp.build_filter_index(kg)
-        for t in kg.all_triples():
-            assert t.tail in index[(t.head, t.relation)]
+        for head, relation, tail in np.concatenate([kg.splits[n].array for n in SPLITS]):
+            assert tail in index[(head, relation)]
 
 
 def test_filter_index_after_augmentation_both_directions(tmp_path):
@@ -192,7 +194,8 @@ def test_resplit_rejects_augmented(toy_aug):
 def test_catalog_roundtrip(tmp_path, toy_aug):
     path = tmp_path / "catalog.json"
     save_catalogs(toy_aug, path)
-    loaded = load_catalogs(path)
+    with open(path, encoding="utf-8") as fh:
+        loaded = json.load(fh)
     assert loaded["entity_ids"] == toy_aug.entity_ids
     assert loaded["relation_ids"] == toy_aug.relation_ids
     assert loaded["augmented"] is True

@@ -413,24 +413,41 @@ def test_scatter_add_rows_matches_unbuffered_reference(rng):
     assert np.array_equal(table[untouched], ref[untouched])
 
 
-def test_one_buffer_finetune_backward_matches_two_buffer_merge(rng, monkeypatch):
+def _finetune_passes(rng):
+    """An encoder and the (forward cache, d_pooled) of a fine-tuning step's
+    query and candidate passes."""
     cfg = EncoderConfig(vocab_size=40, hidden_size=32, num_layers=2, num_heads=4,
                         ff_size=48, max_len=24, dropout=0.1)
     enc = Encoder(cfg, seed=3)
     drop = np.random.default_rng(5)
     pair_out, pair_cache = enc.forward(*batch(rng, n=5, s=12), train=True, rng=drop)
     ent_out, ent_cache = enc.forward(*batch(rng, n=5, s=8), train=True, rng=drop)
-    dpair = rng.standard_normal(pair_out.pooled.shape)
-    dent = rng.standard_normal(ent_out.pooled.shape)
+    return enc, [(pair_cache, rng.standard_normal(pair_out.pooled.shape)),
+                 (ent_cache, rng.standard_normal(ent_out.pooled.shape))]
 
+
+def test_one_buffer_finetune_backward_matches_two_buffer_merge(rng):
+    enc, passes = _finetune_passes(rng)
+    (pair_cache, dpair), (ent_cache, dent) = passes
     grads = enc.backward(pair_cache, d_pooled=dpair)
     assert enc.backward(ent_cache, d_pooled=dent, grads=grads) is grads
 
-    monkeypatch.setattr(layers, "scatter_add_rows", reference_scatter_add_rows)
-    ref = two_buffer_backward(enc, [(pair_cache, dpair), (ent_cache, dent)])
+    ref = two_buffer_backward(enc, passes)
     assert list(grads) == list(ref) == list(enc.params)
     for name in enc.params:
-        if name == "tok_emb":
+        assert np.array_equal(grads[name], ref[name]), name
+
+
+def test_finetune_backward_scatter_matches_unbuffered_reference(rng, monkeypatch):
+    enc, passes = _finetune_passes(rng)
+    (pair_cache, dpair), (ent_cache, dent) = passes
+    grads = enc.backward(pair_cache, d_pooled=dpair)
+    enc.backward(ent_cache, d_pooled=dent, grads=grads)
+
+    monkeypatch.setattr(layers, "scatter_add_rows", reference_scatter_add_rows)
+    ref = two_buffer_backward(enc, passes)
+    for name in enc.params:
+        if name in ("tok_emb", "pos_emb"):  # both are scatters
             np.testing.assert_allclose(grads[name], ref[name], rtol=1e-5, atol=1e-6)
         else:
             assert np.array_equal(grads[name], ref[name]), name

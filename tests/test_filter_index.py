@@ -129,6 +129,29 @@ def test_entries_outside_the_catalog_are_refused(row):
         FilterIndex(heads, relations, tails, 4, 2, ("train",))
 
 
+def test_int32_columns_pack_like_int64_columns():
+    # at FB15k-237 sizes the packed codes pass 2**31: computed in int32 they wrapped
+    E, R = 14_541, 474
+    rng = np.random.default_rng(0)
+    rows = np.stack([rng.integers(0, E, 400), rng.integers(0, R, 400),
+                     rng.integers(0, E, 400)], axis=1)
+    rows[0] = (E - 1, R - 1, E - 1)
+    wide = FilterIndex(*rows.T.astype(np.int64), E, R, ("train",))
+    narrow = FilterIndex(*rows.T.astype(np.int32), E, R, ("train",))
+    for head, relation, _ in rows[:40].tolist():
+        assert np.array_equal(narrow.tails((head, relation)), wide.tails((head, relation)))
+    heads, relations, tails = rows[:40].T.astype(np.int32)
+    assert np.array_equal(narrow.completes(heads, relations, tails),
+                          wide.completes(heads, relations, tails))
+    assert narrow.completes(heads, relations, tails).diagonal().all()
+
+
+def test_non_integer_columns_are_refused():
+    heads, relations, tails = np.array([(0, 0, 1), (1, 1, 2)]).T
+    with pytest.raises(TypeError, match="integer"):
+        FilterIndex(heads.astype(float), relations, tails, 4, 2, ("train",))
+
+
 # A catalog of E = 4 entities and R = 2 relations packs its codes into
 # [0, E * R * E) = [0, 32). (0, 0) holds the first code and ends at tail E - 1,
 # right before (0, 1) starts at tail 0; (3, 1) is the last entity with the last

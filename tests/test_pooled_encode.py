@@ -2,8 +2,8 @@
 
 Entity tables, query vectors and ranks from the pooled-only mode must equal,
 bit for bit, what a forward that runs every position through every layer
-gives. The pooled-only mode runs real rows only; a batch of one keeps full
-width.
+gives. The pooled-only mode runs real rows only; a batch of one runs its last
+block on every real row.
 """
 
 import numpy as np
@@ -83,10 +83,10 @@ def test_last_block_runs_cls_rows_only_past_attention(rng, monkeypatch, n, cls_r
     monkeypatch.setattr(layers, "linear_forward", spy)
     enc.encode(tokens, mask, pooled_only=True)
     # q, k, v on the real rows; then attn.wo, ff.w1, ff.w2 on the [CLS] rows.
-    # A batch of one keeps full width.
-    assert shapes[:3] == [(int(mask.sum()), 32) if cls_rows else (n, 16, 32)] * 3
-    assert shapes[3:] == ([(n, 32), (n, 32), (n, 48)] if cls_rows else
-                          [(n, 16, 32), (n, 16, 32), (n, 16, 48)])
+    # A batch of one asks for one row, so its last block keeps every real row:
+    # a one-row product would sum in another order than the grid's.
+    real, after = int(mask.sum()), n if cls_rows else int(mask.sum())
+    assert shapes == [(real, 32)] * 3 + [(after, 32), (after, 32), (after, 48)]
 
 
 @st.composite

@@ -101,7 +101,7 @@ def test_assemble_triple_region_reconstruction(pair_kg, pair_vocab):
     t = pair_kg.splits["train"][0]
     layout = assemble_triple(cat, t.head, t.relation, t.tail, 64)
     regions = ["head", "head_desc", "rel", "tail", "tail_desc"]
-    rebuilt = sum((layout.region_tokens(r).tolist() for r in regions), [])
+    rebuilt = sum((layout.tokens[slice(*layout.spans[r])].tolist() for r in regions), [])
     original = (cat.entity_tokens[t.head] + cat.entity_desc_tokens[t.head]
                 + cat.relation_tokens[t.relation]
                 + cat.entity_tokens[t.tail] + cat.entity_desc_tokens[t.tail])

@@ -1,26 +1,28 @@
-"""Training passes that compute real token rows only, against the grid path.
+"""Training passes that compute real token rows only, against the grid oracle.
 
 ``Encoder.forward(..., positions=...)`` runs the position-wise layers on the
 real rows and the last block past its attention on the asked-for rows only.
-Its states and losses must equal, bit for bit, those of a forward over the
-full (B, S) grid that gathers the same positions at the end; its gradients
-may differ only in the order of the weight-gradient sums, and its dropout
-must draw the same rng stream.
+Its states and losses must equal, bit for bit, those of ``util``'s full-grid
+forward, which gathers the same positions at the end; its gradients may differ
+from the full-grid backward's only in the order of the weight-gradient sums,
+and its dropout must draw the same rng stream.
 """
+
+from functools import partial
 
 import numpy as np
 import pytest
 
 import kglp
 from kglp import layers, pretrain
-from kglp.encoder import Encoder, EncoderOutput, cls_positions
+from kglp.encoder import Encoder, cls_positions
 from kglp.data import build_filter_index
 from kglp.finetune import FinetuneConfig, finetune_step
 from kglp.layers import cross_entropy
 from kglp.sampling import build_pretrain_sample, derive_rng
 from kglp.text import TokenizedCatalog
 
-from util import rel_error
+from util import reference_grid_backward, reference_grid_forward, rel_error
 
 
 def f64_encoder(vocab_size, num_layers=2, dropout=0.1, seed=5, max_len=32):
@@ -50,16 +52,6 @@ def target_positions(mask):
 
 
 KINDS = {"cls": lambda mask: cls_positions(mask.shape[0]), "targets": target_positions}
-
-
-def grid_forward(real_forward):
-    """``Encoder.forward`` run on the full grid, with ``positions`` gathered at the end."""
-    def forward(self, tokens, mask, positions=None, **kwargs):
-        out, cache = real_forward(self, tokens, mask, **kwargs)
-        if positions is None:
-            return out, cache
-        return EncoderOutput(token_states=out.token_states[positions], pooled=None), cache
-    return forward
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -111,7 +103,7 @@ def test_rows_path_gradcheck_against_finite_differences(kind):
 
 @pytest.mark.parametrize("num_layers", [1, 2])
 @pytest.mark.parametrize("kind", KINDS)
-def test_rows_path_states_rng_and_gradients_match_grid_path(monkeypatch, kind, num_layers):
+def test_rows_path_states_rng_and_gradients_match_grid_path(kind, num_layers):
     enc = f64_encoder(23, num_layers=num_layers)
     rng = np.random.default_rng(3)
     tokens, mask = padded_batch(rng, n=4, s=11)
@@ -119,14 +111,14 @@ def test_rows_path_states_rng_and_gradients_match_grid_path(monkeypatch, kind, n
     d_states = np.zeros((*tokens.shape, 16))
     d_states[positions] = rng.standard_normal((positions[0].size, 16))
 
-    def run():
+    def run(forward, backward):
         drop = np.random.default_rng(9)
-        out, cache = enc.forward(tokens, mask, train=True, rng=drop, positions=positions)
-        return out.token_states, drop.bit_generator.state, enc.backward(cache, d_states)
+        out, cache = forward(tokens, mask, train=True, rng=drop, positions=positions)
+        return out.token_states, drop.bit_generator.state, backward(cache, d_states)
 
-    states, rng_state, grads = run()
-    monkeypatch.setattr(Encoder, "forward", grid_forward(Encoder.forward))
-    want_states, want_rng_state, want_grads = run()
+    states, rng_state, grads = run(enc.forward, enc.backward)
+    want_states, want_rng_state, want_grads = run(partial(reference_grid_forward, enc),
+                                                  partial(reference_grid_backward, enc))
     assert np.array_equal(states, want_states)
     assert rng_state == want_rng_state
     for name, g in want_grads.items():
@@ -170,7 +162,8 @@ def test_training_step_losses_equal_grid_path(monkeypatch, pair_kg, pair_vocab, 
                                               stage):
     enc = f64_encoder(pair_vocab.size)
     losses, rng_state, grads = _training_step(stage, enc, pair_kg, pair_cat)
-    monkeypatch.setattr(Encoder, "forward", grid_forward(Encoder.forward))
+    monkeypatch.setattr(Encoder, "forward", reference_grid_forward)
+    monkeypatch.setattr(Encoder, "backward", reference_grid_backward)
     want_losses, want_rng_state, want_grads = _training_step(stage, enc, pair_kg, pair_cat)
     assert losses == want_losses
     assert rng_state == want_rng_state
@@ -178,7 +171,8 @@ def test_training_step_losses_equal_grid_path(monkeypatch, pair_kg, pair_vocab, 
         np.testing.assert_allclose(grads[name], g, rtol=1e-12, err_msg=name)
 
 
-def _linear_rows(monkeypatch, enc, tokens, mask, positions):
+def _linear_rows(monkeypatch, forward, tokens, mask, positions):
+    """The input shape of every ``linear_forward`` of a training forward."""
     shapes = []
     real = layers.linear_forward
 
@@ -187,8 +181,8 @@ def _linear_rows(monkeypatch, enc, tokens, mask, positions):
         return real(x, w, b)
 
     monkeypatch.setattr(layers, "linear_forward", spy)
-    out, cache = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(0),
-                             positions=positions)
+    out, cache = forward(tokens, mask, train=True, rng=np.random.default_rng(0),
+                         positions=positions)
     monkeypatch.undo()
     return shapes, out, cache
 
@@ -199,27 +193,53 @@ def test_block_zero_sees_real_rows_and_the_last_block_the_kept_rows(monkeypatch,
     tokens, mask = padded_batch(np.random.default_rng(1), n=4, s=11)
     positions = KINDS[kind](mask)
     R, K = int(mask.sum()), positions[0].size
-    shapes, out, _ = _linear_rows(monkeypatch, enc, tokens, mask, positions)
+    shapes, out, _ = _linear_rows(monkeypatch, enc.forward, tokens, mask, positions)
     # block 0: q, k, v, attn.wo, ff.w1, ff.w2 on the real rows; the last block:
     # q, k, v on the real rows, then attn.wo, ff.w1, ff.w2 on the kept rows
     assert shapes == [(R, 16)] * 5 + [(R, 24)] + [(R, 16)] * 3 + [(K, 16), (K, 16), (K, 24)]
     assert out.token_states.shape == (K, 16) and out.pooled is None
 
 
-@pytest.mark.parametrize("n, s, kept", [(1, 9, 3), (4, 1, 4), (4, 9, 1)])
-def test_fallbacks_keep_grid_shapes(monkeypatch, n, s, kept):
-    """A batch of one, a sequence of one position, or one kept row run the grid
-    path: no product has one row."""
-    enc = f64_encoder(23)
-    tokens, mask = padded_batch(np.random.default_rng(2), n=max(n, 3), s=max(s, 9))
-    tokens, mask = tokens[:n, :s], mask[:n, :s]
+def _edge_case(n, s, lengths, kept):
+    """(tokens, mask, the first ``kept`` grid positions) of ``n`` sequences of
+    width ``s`` with the given real lengths."""
+    mask = (np.arange(s)[None, :] < np.array(lengths)[:, None]).astype(np.int8)
+    tokens = np.random.default_rng(2).integers(5, 23, size=(n, s)) * mask
+    tokens[:, 0] = 2
     positions = np.nonzero(np.ones((n, s), dtype=bool))
-    positions = (positions[0][:kept], positions[1][:kept])
-    shapes, out, cache = _linear_rows(monkeypatch, enc, tokens, mask, positions)
-    assert cache["rows"] is None
-    assert shapes == [(n, s, 16)] * 5 + [(n, s, 24)] + [(n, s, 16)] * 5 + [(n, s, 24)]
-    full, _ = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(0))
-    assert np.array_equal(out.token_states, full.token_states[positions])
+    return tokens, mask, (positions[0][:kept], positions[1][:kept])
+
+
+EDGE_CASES = {
+    "one-sequence-pad": (1, 9, [6], 3),
+    "one-real-token": (1, 9, [1], 1),
+    "one-position": (4, 1, [1] * 4, 4),
+    "one-slot": (1, 1, [1], 1),
+    "no-asked-row": (4, 9, [6, 7, 9, 9], 0),
+    "one-asked-row": (4, 9, [6, 7, 9, 9], 1),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASES)
+def test_edge_cases_take_one_row_products_only_where_the_grid_does(monkeypatch, case):
+    """A batch of one, one real token, a one-position grid and fewer than two
+    asked-for rows: a product of the rows path has one row only where the
+    grid oracle's has one (NumPy runs those on a matrix-vector kernel, which
+    sums in another order), and the states are the oracle's, bit for bit."""
+    enc = f64_encoder(23)
+    tokens, mask, positions = _edge_case(*EDGE_CASES[case])
+    shapes, out, cache = _linear_rows(monkeypatch, enc.forward, tokens, mask, positions)
+    want_shapes, want, want_cache = _linear_rows(
+        monkeypatch, partial(reference_grid_forward, enc), tokens, mask, positions)
+    assert len(shapes) == len(want_shapes) == 12
+    assert [x[-2] == 1 for x in shapes] == [x[-2] == 1 for x in want_shapes]
+    assert np.array_equal(out.token_states, want.token_states)
+
+    d_states = np.zeros((*tokens.shape, 16))
+    d_states[positions] = np.random.default_rng(4).standard_normal((positions[0].size, 16))
+    grads = enc.backward(cache, d_states)
+    for name, g in reference_grid_backward(enc, want_cache, d_states).items():
+        np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=1e-15, err_msg=name)
 
 
 def test_positions_must_be_distinct_grid_positions():

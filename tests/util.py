@@ -483,34 +483,117 @@ def reference_ranks(encoder, cat, kg, split, pair_max_len, entity_max_len,
     return table, ranks
 
 
-def reference_encode_states(encoder, tokens, mask):
-    """Token states of a full-sequence inference forward, as ``Encoder.encode``
-    computed them before the pooled-only mode: every block sends every
-    position through every layer."""
+def reference_grid_forward(encoder, tokens, mask, train=False, rng=None, positions=None):
+    """``Encoder.forward`` over the full (B, S) grid, as it ran before every
+    forward computed real rows only: every block sends every position through
+    every layer, dropout draws its masks on the full arrays in the same order,
+    and ``positions`` gathers the states at the end. Returns
+    (EncoderOutput, cache) for ``reference_grid_backward``."""
     from kglp import layers as L
+    from kglp.encoder import EncoderOutput
     p, cfg = encoder.params, encoder.config
     tokens, mask = np.atleast_2d(tokens), np.atleast_2d(mask)
     B, S = tokens.shape
     H = cfg.num_heads
     d = cfg.hidden_size
     dh = d // H
+    rate = cfg.dropout if train else 0.0
     key_mask = mask.astype(bool)
-    x, _ = L.layernorm_forward(p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :],
-                               p["emb_ln.g"], p["emb_ln.b"])
+    x, emb_ln = L.layernorm_forward(p["tok_emb"][tokens] + p["pos_emb"][:S][None, :, :],
+                                    p["emb_ln.g"], p["emb_ln.b"])
+    x, emb_drop = L.dropout_forward(x, rate, rng, train)
+    blocks = []
     for i in range(cfg.num_layers):
         w = {k[len(f"blk{i}."):]: v for k, v in p.items() if k.startswith(f"blk{i}.")}
-        heads = [(x @ w[f"attn.w{n}"] + w[f"attn.b{n}"]).reshape(B, S, H, dh)
-                 .transpose(0, 2, 1, 3) for n in "qkv"]
-        qh, kh, vh = heads
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) / np.sqrt(dh).astype(x.dtype)
-        attn = L.softmax_last(np.where(key_mask[:, None, None, :], scores, -np.inf))
-        ctx = (attn @ vh).transpose(0, 2, 1, 3).reshape(B, S, d)
-        h1, _ = L.layernorm_forward(x + (ctx @ w["attn.wo"] + w["attn.bo"]),
-                                    w["ln1.g"], w["ln1.b"])
-        g, _ = L.gelu_forward(h1 @ w["ff.w1"] + w["ff.b1"])
-        x, _ = L.layernorm_forward(h1 + (g @ w["ff.w2"] + w["ff.b2"]),
-                                   w["ln2.g"], w["ln2.b"])
-    return x
+        c = {}
+        heads = []
+        for n in "qkv":
+            t, c[n] = L.linear_forward(x, w[f"attn.w{n}"], w[f"attn.b{n}"])
+            heads.append(t.reshape(B, S, H, dh).transpose(0, 2, 1, 3))
+        c["qh"], c["kh"], c["vh"] = heads
+        scores = (c["qh"] @ c["kh"].transpose(0, 1, 3, 2)) / np.sqrt(dh).astype(x.dtype)
+        c["attn"] = L.softmax_last(np.where(key_mask[:, None, None, :], scores, -np.inf))
+        c["attn_d"], c["attn_drop"] = L.dropout_forward(c["attn"], rate, rng, train)
+        ctx = (c["attn_d"] @ c["vh"]).transpose(0, 2, 1, 3).reshape(B, S, d)
+        out, c["out"] = L.linear_forward(ctx, w["attn.wo"], w["attn.bo"])
+        out, c["out_drop"] = L.dropout_forward(out, rate, rng, train)
+        h1, c["ln1"] = L.layernorm_forward(x + out, w["ln1.g"], w["ln1.b"])
+        u, c["ff1"] = L.linear_forward(h1, w["ff.w1"], w["ff.b1"])
+        g, c["gelu"] = L.gelu_forward(u)
+        f, c["ff2"] = L.linear_forward(g, w["ff.w2"], w["ff.b2"])
+        f, c["ff_drop"] = L.dropout_forward(f, rate, rng, train)
+        x, c["ln2"] = L.layernorm_forward(h1 + f, w["ln2.g"], w["ln2.b"])
+        blocks.append(c)
+    cache = {"tokens": tokens, "emb_ln": emb_ln, "emb_drop": emb_drop, "blocks": blocks}
+    if positions is not None:
+        return EncoderOutput(token_states=x[tuple(positions)], pooled=None), cache
+    return EncoderOutput(token_states=x, pooled=x[:, 0]), cache
+
+
+def reference_grid_backward(encoder, cache, d_states=None, d_pooled=None, grads=None):
+    """``Encoder.backward`` over the full grid, for a ``reference_grid_forward``
+    cache; it reads ``d_states`` at every position."""
+    from kglp import layers as L
+
+    def add(name, g):
+        np.add(grads[name], g, out=grads[name], dtype=grads[name].dtype)
+
+    p, cfg = encoder.params, encoder.config
+    B, S = cache["tokens"].shape
+    H = cfg.num_heads
+    d = cfg.hidden_size
+    dh = d // H
+    dx = np.zeros((B, S, d), dtype=encoder.dtype)
+    if d_states is not None:
+        dx += d_states
+    if d_pooled is not None:
+        dx[:, 0] += d_pooled
+    if grads is None:
+        grads = encoder.zero_grads()
+    for i in reversed(range(cfg.num_layers)):
+        c = cache["blocks"][i]
+        dresid2, dg, db = L.layernorm_backward(dx, c["ln2"])
+        add(f"blk{i}.ln2.g", dg)
+        add(f"blk{i}.ln2.b", db)
+        dgelu, dw, db = L.linear_backward(L.dropout_backward(dresid2, c["ff_drop"]), c["ff2"])
+        add(f"blk{i}.ff.w2", dw)
+        add(f"blk{i}.ff.b2", db)
+        dh1, dw, db = L.linear_backward(L.gelu_backward(dgelu, c["gelu"]), c["ff1"])
+        add(f"blk{i}.ff.w1", dw)
+        add(f"blk{i}.ff.b1", db)
+        dh1 += dresid2
+        dresid1, dg, db = L.layernorm_backward(dh1, c["ln1"])
+        add(f"blk{i}.ln1.g", dg)
+        add(f"blk{i}.ln1.b", db)
+        dctx, dw, db = L.linear_backward(L.dropout_backward(dresid1, c["out_drop"]), c["out"])
+        add(f"blk{i}.attn.wo", dw)
+        add(f"blk{i}.attn.bo", db)
+        dctx_h = dctx.reshape(B, S, H, dh).transpose(0, 2, 1, 3)
+        dattn_d = dctx_h @ c["vh"].transpose(0, 1, 3, 2)
+        dvh = c["attn_d"].transpose(0, 1, 3, 2) @ dctx_h
+        dscores = L.softmax_backward(L.dropout_backward(dattn_d, c["attn_drop"]), c["attn"])
+        dscores /= np.sqrt(dh).astype(dscores.dtype)
+        heads = {"q": dscores @ c["kh"], "k": dscores.transpose(0, 1, 3, 2) @ c["qh"],
+                 "v": dvh}
+        dx = dresid1
+        for n, dt in heads.items():
+            dxi, dw, db = L.linear_backward(dt.transpose(0, 2, 1, 3).reshape(B, S, d), c[n])
+            add(f"blk{i}.attn.w{n}", dw)
+            add(f"blk{i}.attn.b{n}", db)
+            dx = dx + dxi
+    dx = L.dropout_backward(dx, cache["emb_drop"])
+    dx, dg, db = L.layernorm_backward(dx, cache["emb_ln"])
+    add("emb_ln.g", dg)
+    add("emb_ln.b", db)
+    L.scatter_add_rows(grads["tok_emb"], cache["tokens"], dx)
+    grads["pos_emb"][:S] += dx.sum(axis=0).astype(encoder.dtype, copy=False)
+    return grads
+
+
+def reference_encode_states(encoder, tokens, mask):
+    """Token states of a full-grid inference forward, as ``Encoder.encode``
+    computed them before the pooled-only mode."""
+    return reference_grid_forward(encoder, tokens, mask)[0].token_states
 
 
 def reference_encode_pooled(encoder, layouts, batch_size):
