@@ -167,7 +167,6 @@ def cmd_ingest(args) -> int:
     dataset_dir = Path(args.dataset_dir)
     out_dir = Path(args.out)
     rc = load_run_config(args.config, _collect_overrides(args), dataset_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     artifacts = [out_dir / p for p in
                  ("catalog.json", "vocab.txt", "stats.json", "dataset.json")]
     _refuse_overwrite(artifacts, args.force)
@@ -177,6 +176,7 @@ def cmd_ingest(args) -> int:
     augmented = augment_inverse(kg)
     vocab = build_vocab(augmented, rc.vocab.min_freq)
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_catalogs(augmented, out_dir / "catalog.json")
     vocab.save(out_dir / "vocab.txt")
     stats_payload = dict(stats)

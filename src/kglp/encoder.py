@@ -13,14 +13,15 @@ positions alone (every position when None): the embedding, the linears, GeLU
 and the layer norms see the (R, d) matrix of real positions (mask 1, plus the
 asked-for positions), and only scores, softmax and context run on the padded
 (B, S) grid. The last block goes on past its attention with the asked-for rows
-alone, and ``backward`` runs the same layout in reverse. Fine-tuning asks for
-the [CLS] rows, pre-training for its target rows, and the pooled-only encode
-(``encode(..., pooled_only=True)``, which entity tables and query vectors use)
-for the [CLS] rows without backward caches. The states are bit-identical to a
-full-grid forward's, under three rules that keep every matrix product at two
-or more rows where the full grid's has them (see ``Encoder.forward``); the
-gradients differ from a full-grid backward's only in the order of the
-weight-gradient sums.
+alone, and ``backward``, given the gradient of the states ``forward`` returned,
+runs the same layout in reverse. Fine-tuning asks for the [CLS] rows,
+pre-training for its target rows, and the pooled-only encode (``encode(...,
+pooled_only=True)``, which entity tables and query vectors use) for the [CLS]
+rows without backward caches. The states are bit-identical to a full-grid
+forward's, under three rules that keep every matrix product at two or more
+rows where the full grid's has them (see ``Encoder.forward``); the gradients
+differ from a full-grid backward's only in the order of the weight-gradient
+sums.
 """
 
 from __future__ import annotations
@@ -185,8 +186,8 @@ class Encoder:
 
         ``positions`` = (batch indices, position indices), distinct grid
         positions, returns the states at those positions only, as the (K, d)
-        ``token_states`` in that order; ``backward`` then reads its gradients
-        there only. ``positions=None`` asks for every position and returns the
+        ``token_states`` in that order; ``backward`` then takes their (K, d)
+        gradient. ``positions=None`` asks for every position and returns the
         (B, S, d) states with the [CLS] states as ``pooled``. ``pooled_only``
         (inference only) asks for the [CLS] rows and returns them as
         ``pooled``, with ``token_states`` and the cache None.
@@ -266,7 +267,7 @@ class Encoder:
 
         cache = {
             "tokens": tokens, "emb_ln": emb_ln_cache, "emb_drop": emb_drop,
-            "blocks": caches, "seq_len": S, "rows": rows, "positions": asked,
+            "blocks": caches, "states_shape": x.shape, "rows": rows, "positions": asked,
             "keep": None if cut else keep,
         }
         pooled = x[:, 0] if positions is None else None
@@ -342,27 +343,25 @@ class Encoder:
         """A zero gradient buffer for every parameter, in parameter order."""
         return {name: np.zeros_like(arr) for name, arr in self.params.items()}
 
-    def backward(self, cache, d_states=None, d_pooled=None, grads=None) -> dict:
+    def backward(self, cache, d_states, grads=None) -> dict:
         """Backprop through the encoder body; returns the name -> gradient dict.
 
-        ``d_states`` is (B, S, d) and ``d_pooled`` (B, d) in every mode; only
-        the gradients at the forward's asked-for positions are read. Gradients
+        ``d_states`` is the gradient of the forward's ``token_states``, in their
+        shape, (K, d) or (B, S, d); another shape raises ValueError. Gradients
         are added into ``grads`` when it is given (several passes of one step
-        share one buffer), else into a fresh ``zero_grads()``. Each gradient is
-        rounded to its buffer's dtype before it is added, so two passes into
-        one buffer give the same numbers as summing two buffers.
+        share one buffer), else into a fresh ``zero_grads()``. ``d_states`` and
+        each gradient are rounded to the parameters' dtype first, so two passes
+        into one buffer give the same numbers as summing two buffers.
         """
         cfg = self.config
         blocks = cache["blocks"]
-        B = cache["tokens"].shape[0]
-        S = cache["seq_len"]
         rows = cache["rows"]
-        dx = np.zeros((B, S, cfg.hidden_size), dtype=self.dtype)
-        if d_states is not None:
-            dx += d_states
-        if d_pooled is not None:
-            dx[:, 0] += d_pooled
-        dx = dx[cache["positions"]]
+        shape = cache["states_shape"]
+        if np.shape(d_states) != shape:
+            raise ValueError(f"d_states is {np.shape(d_states)}, not the forward's {shape}")
+        dx = np.zeros(shape, dtype=self.dtype)
+        dx += d_states
+        dx = dx.reshape(*cache["positions"][0].shape, cfg.hidden_size)
         if cache["keep"] is not None:  # the last block kept every row
             dx = _spread(dx, cache["keep"], rows)
 

@@ -280,8 +280,8 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
     loss, l1, l2, dpair, dent = loss_and_vector_grads(pair_vectors, ent_vectors,
                                                       labels, fp, cell_mask)
 
-    grads = encoder.backward(pair_cache, d_pooled=dpair)
-    encoder.backward(ent_cache, d_pooled=dent, grads=grads)
+    grads = encoder.backward(pair_cache, dpair)
+    encoder.backward(ent_cache, dent, grads=grads)
     grad_norm = clip_global_norm(grads, config.clip_norm) if config.clip_norm else None
     optimizer.step(encoder.params, grads, lr_scale)
 

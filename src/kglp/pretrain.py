@@ -77,8 +77,8 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
                   rng=None, grads: dict | None = None):
     """Forward pass and the two loss terms.
 
-    With ``grads`` given, the head gradients are added into it and the
-    backward context comes back as the third item; otherwise that item is None.
+    With ``grads`` given, the head gradients are added into it and the third item is (cache,
+    the (K, d) target-row gradient that ``Encoder.backward`` takes, task losses); else None.
     """
     # targets only exist inside the non-PAD content, so trimming cuts none
     x, mask, y1, y2 = stack_trimmed([s.layout.length for s in samples],
@@ -90,9 +90,8 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     out, cache = encoder.forward(x, mask, train=train, rng=rng,
                                  positions=np.nonzero(pos_any))
     states = out.token_states
-    grid = (*x.shape, states.shape[1])
     if not pos_any.any():
-        return 0.0, 0.0, (cache, np.zeros(grid, dtype=states.dtype), {})
+        return 0.0, 0.0, (cache, np.zeros_like(states), {})
     logits, head_cache = encoder.predict_tokens(states, train=train)
     # one NLL pass over every target row: the sampler never gives a position
     # both an item and a token target (``sampling.MLM_REGIONS`` excludes the
@@ -117,9 +116,7 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
 
     dlogits /= np.where(sel1, n1, n2).astype(dlogits.dtype)[:, None]
     _, dstates = encoder.head_backward(head_cache, dlogits, grads)
-    d_token_states = np.zeros(grid, dtype=states.dtype)
-    d_token_states[pos_any] = dstates
-    return mlm_loss, mim_loss, (cache, d_token_states, task_losses)
+    return mlm_loss, mim_loss, (cache, dstates, task_losses)
 
 
 def pretrain_step(samples: list[PretrainSample], encoder: Encoder,
@@ -138,8 +135,8 @@ def pretrain_step(samples: list[PretrainSample], encoder: Encoder,
                                             grads=grads)
     if not (math.isfinite(mlm_loss) and math.isfinite(mim_loss)):
         raise TrainingDiverged(-1, {}, [])
-    cache, d_token_states, task_losses = ctx
-    encoder.backward(cache, d_states=d_token_states, grads=grads)
+    cache, dstates, task_losses = ctx
+    encoder.backward(cache, dstates, grads=grads)
     grad_norm = clip_global_norm(grads, clip_norm) if clip_norm else None
     optimizer.step(encoder.params, grads, lr_scale)
 

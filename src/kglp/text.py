@@ -89,6 +89,7 @@ def build_vocab(kg: KnowledgeGraph, min_freq: int = 1) -> Vocabulary:
     Tokens with corpus frequency >= min_freq enter the vocabulary, ordered by
     frequency descending then lexicographically, after the reserved ids. Build
     from the augmented graph so inverse-relation marker words are covered.
+    A ``min_freq`` that keeps no token of a non-empty corpus raises ValueError.
     """
     if min_freq < 1:
         raise ValueError(f"min_freq must be >= 1, got {min_freq}")
@@ -96,6 +97,8 @@ def build_vocab(kg: KnowledgeGraph, min_freq: int = 1) -> Vocabulary:
     for text in corpus_texts(kg):
         counts.update(split_words(text))
     kept = [t for t, c in counts.items() if c >= min_freq]
+    if counts and not kept:
+        raise ValueError(f"min_freq {min_freq} keeps no token (max count {max(counts.values())})")
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
 

@@ -144,6 +144,17 @@ def test_ingest_prints_stats_and_writes_artifacts(cli_dataset, tmp_path, capsys)
     assert stats["augmented_relations"] == 2 * kg.num_relations
 
 
+def test_min_freq_that_keeps_no_token_exits_2_before_writing(cli_dataset, tmp_path, capsys):
+    # a vocabulary of the reserved tokens alone used to pass ingest, and
+    # pretrain then failed inside the masking sampler with "low >= high"
+    out = tmp_path / "run"
+    assert main(["ingest", str(cli_dataset), "--out", str(out),
+                 "--set", "vocab.min_freq=100000"]) == 2
+    err = capsys.readouterr().err
+    assert "min_freq 100000 keeps no token (max count " in err
+    assert not out.exists()
+
+
 def test_reingest_refused_without_force(cli_dataset, tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["ingest", str(cli_dataset), "--out", str(out)]) == 0

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from kglp.encoder import (CheckpointError, Encoder, EncoderConfig, init_params,
-                          load_checkpoint, param_group, param_layout, save_checkpoint)
+from kglp.encoder import (CheckpointError, Encoder, EncoderConfig, cls_positions,
+                          init_params, load_checkpoint, param_group, param_layout,
+                          save_checkpoint)
 from kglp import layers
 from kglp.layers import cross_entropy, scatter_add_rows
 
@@ -397,7 +398,9 @@ def test_float32_params_compute_in_float64_after_first_gelu(rng):
     assert out.pooled.dtype == np.float64
     logits, _ = enc.predict_tokens(out.token_states[:, 1], train=False)
     assert logits.dtype == np.float64
-    grads = enc.backward(cache, d_pooled=np.ones_like(out.pooled))
+    d_states = np.zeros_like(out.token_states)
+    d_states[:, 0] = 1.0
+    grads = enc.backward(cache, d_states)
     assert all(grads[k].dtype == np.float32 for k in enc.params)
 
 
@@ -414,23 +417,25 @@ def test_scatter_add_rows_matches_unbuffered_reference(rng):
 
 
 def _finetune_passes(rng):
-    """An encoder and the (forward cache, d_pooled) of a fine-tuning step's
-    query and candidate passes."""
+    """An encoder and the (forward cache, d_states) of a fine-tuning step's
+    query and candidate passes, each a forward of the [CLS] rows."""
     cfg = EncoderConfig(vocab_size=40, hidden_size=32, num_layers=2, num_heads=4,
                         ff_size=48, max_len=24, dropout=0.1)
     enc = Encoder(cfg, seed=3)
     drop = np.random.default_rng(5)
-    pair_out, pair_cache = enc.forward(*batch(rng, n=5, s=12), train=True, rng=drop)
-    ent_out, ent_cache = enc.forward(*batch(rng, n=5, s=8), train=True, rng=drop)
-    return enc, [(pair_cache, rng.standard_normal(pair_out.pooled.shape)),
-                 (ent_cache, rng.standard_normal(ent_out.pooled.shape))]
+    pair_out, pair_cache = enc.forward(*batch(rng, n=5, s=12), train=True, rng=drop,
+                                       positions=cls_positions(5))
+    ent_out, ent_cache = enc.forward(*batch(rng, n=5, s=8), train=True, rng=drop,
+                                     positions=cls_positions(5))
+    return enc, [(pair_cache, rng.standard_normal(pair_out.token_states.shape)),
+                 (ent_cache, rng.standard_normal(ent_out.token_states.shape))]
 
 
 def test_one_buffer_finetune_backward_matches_two_buffer_merge(rng):
     enc, passes = _finetune_passes(rng)
     (pair_cache, dpair), (ent_cache, dent) = passes
-    grads = enc.backward(pair_cache, d_pooled=dpair)
-    assert enc.backward(ent_cache, d_pooled=dent, grads=grads) is grads
+    grads = enc.backward(pair_cache, dpair)
+    assert enc.backward(ent_cache, dent, grads=grads) is grads
 
     ref = two_buffer_backward(enc, passes)
     assert list(grads) == list(ref) == list(enc.params)
@@ -441,8 +446,8 @@ def test_one_buffer_finetune_backward_matches_two_buffer_merge(rng):
 def test_finetune_backward_scatter_matches_unbuffered_reference(rng, monkeypatch):
     enc, passes = _finetune_passes(rng)
     (pair_cache, dpair), (ent_cache, dent) = passes
-    grads = enc.backward(pair_cache, d_pooled=dpair)
-    enc.backward(ent_cache, d_pooled=dent, grads=grads)
+    grads = enc.backward(pair_cache, dpair)
+    enc.backward(ent_cache, dent, grads=grads)
 
     monkeypatch.setattr(layers, "scatter_add_rows", reference_scatter_add_rows)
     ref = two_buffer_backward(enc, passes)

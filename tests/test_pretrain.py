@@ -98,7 +98,7 @@ def test_one_nll_pass_matches_per_term_cross_entropy(pair_kg, pair_cat, pair_voc
     assert (mlm, mim) == (want_mlm, want_mim)
     for name, g in want_grads.items():
         np.testing.assert_array_equal(grads[name], g)
-    np.testing.assert_array_equal(d_states[pos_any], want_states)
+    np.testing.assert_array_equal(d_states, want_states)
     nll, _ = per_row_nll(logits[sel1], y1[pos1])
     tasks = np.array([samples[row].task for row in np.nonzero(pos1)[0]])
     assert task_losses == {t: float(nll[tasks == t].mean())

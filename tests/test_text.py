@@ -35,6 +35,12 @@ def test_build_vocab_empty_corpus(tmp_path):
     assert vocab.id_to_token == RESERVED_TOKENS
 
 
+def test_build_vocab_refuses_a_min_freq_that_keeps_no_token(tmp_path):
+    kg = kg_with_texts(tmp_path / "a", {"E": "axle axle hub"})
+    with pytest.raises(ValueError, match=r"min_freq 3 keeps no token \(max count 2\)"):
+        build_vocab(kg, min_freq=3)
+
+
 def test_build_vocab_deterministic_ordering(toy_aug):
     v1 = build_vocab(toy_aug, 1)
     v2 = build_vocab(toy_aug, 1)

@@ -8,6 +8,7 @@ from the full-grid backward's only in the order of the weight-gradient sums,
 and its dropout must draw the same rng stream.
 """
 
+import re
 from functools import partial
 
 import numpy as np
@@ -77,11 +78,8 @@ def test_rows_path_gradcheck_against_finite_differences(kind):
         return ce + float((out.token_states * probe).sum()), cache, head_cache, dlogits
 
     _, cache, head_cache, dlogits = loss_and_cache()
-    assert cache["rows"] is not None  # the rows path, not a fallback
     grads, dstates = enc.head_backward(head_cache, dlogits, enc.zero_grads())
-    d_states = np.zeros((*tokens.shape, 16))
-    d_states[positions] = dstates + probe
-    enc.backward(cache, d_states=d_states, grads=grads)
+    enc.backward(cache, dstates + probe, grads=grads)
 
     eps = 1e-6
     pick = np.random.default_rng(42)
@@ -111,14 +109,15 @@ def test_rows_path_states_rng_and_gradients_match_grid_path(kind, num_layers):
     d_states = np.zeros((*tokens.shape, 16))
     d_states[positions] = rng.standard_normal((positions[0].size, 16))
 
-    def run(forward, backward):
+    def run(forward, backward, d_states):
         drop = np.random.default_rng(9)
         out, cache = forward(tokens, mask, train=True, rng=drop, positions=positions)
         return out.token_states, drop.bit_generator.state, backward(cache, d_states)
 
-    states, rng_state, grads = run(enc.forward, enc.backward)
+    states, rng_state, grads = run(enc.forward, enc.backward, d_states[positions])
     want_states, want_rng_state, want_grads = run(partial(reference_grid_forward, enc),
-                                                  partial(reference_grid_backward, enc))
+                                                  partial(reference_grid_backward, enc),
+                                                  d_states)
     assert np.array_equal(states, want_states)
     assert rng_state == want_rng_state
     for name, g in want_grads.items():
@@ -160,10 +159,20 @@ def _training_step(stage, enc, pair_kg, pair_cat):
 @pytest.mark.parametrize("stage", ["pretrain", "finetune"])
 def test_training_step_losses_equal_grid_path(monkeypatch, pair_kg, pair_vocab, pair_cat,
                                               stage):
+    def grid_forward(self, tokens, mask, positions=None, **kwargs):
+        out, cache = reference_grid_forward(self, tokens, mask, positions=positions, **kwargs)
+        return out, {**cache, "positions": positions}
+
+    def grid_backward(self, cache, d_states, grads=None):
+        """The oracle, given the (K, d) gradient spread into the grid."""
+        grid = np.zeros((*cache["tokens"].shape, d_states.shape[-1]))
+        grid[cache["positions"]] = d_states
+        return reference_grid_backward(self, cache, grid, grads=grads)
+
     enc = f64_encoder(pair_vocab.size)
     losses, rng_state, grads = _training_step(stage, enc, pair_kg, pair_cat)
-    monkeypatch.setattr(Encoder, "forward", reference_grid_forward)
-    monkeypatch.setattr(Encoder, "backward", reference_grid_backward)
+    monkeypatch.setattr(Encoder, "forward", grid_forward)
+    monkeypatch.setattr(Encoder, "backward", grid_backward)
     want_losses, want_rng_state, want_grads = _training_step(stage, enc, pair_kg, pair_cat)
     assert losses == want_losses
     assert rng_state == want_rng_state
@@ -237,7 +246,7 @@ def test_edge_cases_take_one_row_products_only_where_the_grid_does(monkeypatch, 
 
     d_states = np.zeros((*tokens.shape, 16))
     d_states[positions] = np.random.default_rng(4).standard_normal((positions[0].size, 16))
-    grads = enc.backward(cache, d_states)
+    grads = enc.backward(cache, d_states[positions])
     for name, g in reference_grid_backward(enc, want_cache, d_states).items():
         np.testing.assert_allclose(grads[name], g, rtol=1e-12, atol=1e-15, err_msg=name)
 
@@ -249,3 +258,23 @@ def test_positions_must_be_distinct_grid_positions():
         enc.forward(tokens, mask, positions=(np.array([0, 0]), np.array([1, 1])))
     with pytest.raises(ValueError):
         enc.forward(tokens, mask, positions=(np.array([0, 3]), np.array([1, 1])))
+
+
+@pytest.mark.parametrize("positions, bad_shape", [
+    # a (B, S, d) grid after a forward that returned the (K, d) [CLS] rows
+    pytest.param(cls_positions(3), (3, 9, 16), id="grid-after-positions"),
+    # a (B, d) [CLS] gradient after a forward of every position
+    pytest.param(None, (3, 16), id="pooled-after-grid"),
+    # one sequence's (S, d) gradient, which NumPy would broadcast into every sequence
+    pytest.param(None, (9, 16), id="sequence-after-grid"),
+])
+def test_backward_refuses_a_gradient_not_shaped_like_the_states(positions, bad_shape):
+    enc = f64_encoder(23)
+    tokens, mask = padded_batch(np.random.default_rng(2))  # B = 3, S = 9
+    out, cache = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(0),
+                             positions=positions)
+    want = f"d_states is {bad_shape}, not the forward's {out.token_states.shape}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        enc.backward(cache, np.ones(bad_shape))
+    # the forward's own shape is taken
+    enc.backward(cache, np.ones_like(out.token_states))

@@ -344,13 +344,13 @@ def reference_clip_global_norm(grads: dict, max_norm: float) -> float:
 def two_buffer_backward(encoder, passes) -> dict:
     """Fine-tuning backward as two gradient dicts and a merge loop.
 
-    ``passes`` is a sequence of (forward cache, d_pooled); each pass gets a
+    ``passes`` is a sequence of (forward cache, d_states); each pass gets a
     fresh dict and the later ones are summed into the first.
     """
-    (cache, d_pooled), *rest = passes
-    grads = encoder.backward(cache, d_pooled=d_pooled)
-    for cache, d_pooled in rest:
-        for name, g in encoder.backward(cache, d_pooled=d_pooled).items():
+    (cache, d_states), *rest = passes
+    grads = encoder.backward(cache, d_states)
+    for cache, d_states in rest:
+        for name, g in encoder.backward(cache, d_states).items():
             grads[name] += g
     return grads
 
@@ -530,9 +530,9 @@ def reference_grid_forward(encoder, tokens, mask, train=False, rng=None, positio
     return EncoderOutput(token_states=x, pooled=x[:, 0]), cache
 
 
-def reference_grid_backward(encoder, cache, d_states=None, d_pooled=None, grads=None):
+def reference_grid_backward(encoder, cache, d_states, grads=None):
     """``Encoder.backward`` over the full grid, for a ``reference_grid_forward``
-    cache; it reads ``d_states`` at every position."""
+    cache; it reads the (B, S, d) ``d_states`` at every position."""
     from kglp import layers as L
 
     def add(name, g):
@@ -544,10 +544,7 @@ def reference_grid_backward(encoder, cache, d_states=None, d_pooled=None, grads=
     d = cfg.hidden_size
     dh = d // H
     dx = np.zeros((B, S, d), dtype=encoder.dtype)
-    if d_states is not None:
-        dx += d_states
-    if d_pooled is not None:
-        dx[:, 0] += d_pooled
+    dx += d_states
     if grads is None:
         grads = encoder.zero_grads()
     for i in reversed(range(cfg.num_layers)):
