@@ -14,8 +14,7 @@ from . import _heap
 from .data import (FilterIndex, KnowledgeGraph, Triple, augment_inverse,
                    build_filter_index, dataset_statistics, load_dataset,
                    resplit_unseen)
-from .encoder import (CheckpointError, Encoder, EncoderConfig, EncoderOutput,
-                      load_checkpoint, save_checkpoint)
+from .encoder import CheckpointError, Encoder, EncoderConfig, load_checkpoint, save_checkpoint
 from .evaluate import (RankingQuery, RankingReport, evaluate,
                        precompute_entity_embeddings, rank_query)
 from .finetune import (FinetuneConfig, FocalParams, build_label_matrix,
@@ -33,8 +32,7 @@ _heap.keep_freed_memory(_heap.glibc_mallopt())
 __all__ = [
     "FilterIndex", "KnowledgeGraph", "Triple", "augment_inverse",
     "build_filter_index", "dataset_statistics", "load_dataset", "resplit_unseen",
-    "CheckpointError", "Encoder", "EncoderConfig", "EncoderOutput",
-    "load_checkpoint", "save_checkpoint",
+    "CheckpointError", "Encoder", "EncoderConfig", "load_checkpoint", "save_checkpoint",
     "RankingQuery", "RankingReport", "evaluate", "precompute_entity_embeddings",
     "rank_query",
     "FinetuneConfig", "FocalParams", "build_label_matrix", "joint_loss",

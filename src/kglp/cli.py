@@ -236,9 +236,10 @@ def cmd_finetune(args) -> int:
 
     history = run_finetune(kg, vocab, encoder, rc.finetune,
                            log_path=out_dir / "finetune_log.jsonl")
-    save_checkpoint(encoder, ckpt_out)
+    # the table first: a failed encode leaves the old checkpoint beside its table
     table = precompute_entity_embeddings(encoder, TokenizedCatalog(kg, vocab),
                                          rc.finetune.entity_max_len)
+    save_checkpoint(encoder, ckpt_out)
     with atomic_write(table_out) as fh:
         np.savez(fh, table=table, checkpoint_sha256=np.array(file_sha256(ckpt_out)))
 

@@ -14,14 +14,13 @@ and the layer norms see the (R, d) matrix of real positions (mask 1, plus the
 asked-for positions), and only scores, softmax and context run on the padded
 (B, S) grid. The last block goes on past its attention with the asked-for rows
 alone, and ``backward``, given the gradient of the states ``forward`` returned,
-runs the same layout in reverse. Fine-tuning asks for the [CLS] rows,
-pre-training for its target rows, and the pooled-only encode (``encode(...,
-pooled_only=True)``, which entity tables and query vectors use) for the [CLS]
-rows without backward caches. The states are bit-identical to a full-grid
-forward's, under three rules that keep every matrix product at two or more
-rows where the full grid's has them (see ``Encoder.forward``); the gradients
-differ from a full-grid backward's only in the order of the weight-gradient
-sums.
+runs the same layout in reverse. Fine-tuning asks for the [CLS] rows and
+pre-training for its target rows; ``encode``, which entity tables and query
+vectors use, returns the [CLS] rows without keeping backward caches. The
+states are bit-identical to a full-grid forward's, under three rules that
+keep every matrix product at two or more rows where the full grid's has them
+(see ``Encoder.forward``); the gradients differ from a full-grid backward's
+only in the order of the weight-gradient sums.
 """
 
 from __future__ import annotations
@@ -70,17 +69,6 @@ class EncoderConfig:
 
     def num_parameters(self) -> int:
         return sum(math.prod(shape) for shape, _ in param_layout(self).values())
-
-
-@dataclass
-class EncoderOutput:
-    """Per-token hidden states plus the pooled ([CLS] position) vector;
-    ``token_states`` is None after a pooled-only encode. After a forward with
-    ``positions``, ``token_states`` is the (K, d) matrix of the states at those
-    positions and ``pooled`` is None."""
-
-    token_states: np.ndarray | None
-    pooled: np.ndarray | None
 
 
 def param_group(name: str) -> str:
@@ -176,21 +164,17 @@ class Encoder:
     # ------------------------------------------------------------------ forward
 
     def forward(self, tokens, mask, train: bool = False,
-                rng: np.random.Generator | None = None, pooled_only: bool = False,
-                positions=None):
-        """Run the encoder; returns (EncoderOutput, cache).
+                rng: np.random.Generator | None = None, positions=None):
+        """Run the encoder; returns (states, cache).
 
         ``tokens`` (B, S) int, ``mask`` (B, S) with 1 on real positions. PAD
         keys receive no attention from any query. ``rng`` drives dropout and is
         required when training with a nonzero dropout rate.
 
         ``positions`` = (batch indices, position indices), distinct grid
-        positions, returns the states at those positions only, as the (K, d)
-        ``token_states`` in that order; ``backward`` then takes their (K, d)
-        gradient. ``positions=None`` asks for every position and returns the
-        (B, S, d) states with the [CLS] states as ``pooled``. ``pooled_only``
-        (inference only) asks for the [CLS] rows and returns them as
-        ``pooled``, with ``token_states`` and the cache None.
+        positions, returns the (K, d) states at those positions only, in that
+        order; ``positions=None`` returns the (B, S, d) states of every
+        position. ``backward`` takes the gradient of the returned states.
 
         The real positions (mask 1) and the asked-for ones are gathered into
         an (R, d) matrix after the embedding lookup. Dropout masks are drawn
@@ -207,15 +191,26 @@ class Encoder:
         3. on a one-position grid (S = 1) the rows are held as (R, 1, d): the
            full grid's (B, 1, d) products are B matrix-vector products.
         """
-        cfg, p = self.config, self.params
-        tokens = np.asarray(tokens)
-        mask = np.asarray(mask)
-        if tokens.ndim == 1:
-            tokens = tokens[None]
-            mask = mask[None]
-        B, S = tokens.shape
-        if S > cfg.max_len:
-            raise ValueError(f"sequence length {S} exceeds max_len {cfg.max_len}")
+        tokens, mask = self._check_inputs(tokens, mask)
+        if positions is not None:
+            positions = tuple(np.asarray(ix, dtype=np.intp) for ix in positions)
+            if np.unique(np.ravel_multi_index(positions, tokens.shape)).size != positions[0].size:
+                raise ValueError("positions must be distinct grid positions")
+        return self._forward(tokens, mask, train, rng, positions, keep_cache=True)
+
+    def encode(self, tokens, mask) -> np.ndarray:
+        """The (B, d) [CLS] vectors, which entity tables and query vectors use:
+        ``forward``'s states at ``cls_positions(B)`` in inference mode, computed
+        without keeping backward caches."""
+        tokens, mask = self._check_inputs(tokens, mask)
+        return self._forward(tokens, mask, False, None, cls_positions(len(tokens)), False)[0]
+
+    def _check_inputs(self, tokens, mask):
+        """(B, S) ``tokens`` and ``mask``; ValueError unless they fit the config."""
+        cfg = self.config
+        tokens, mask = np.atleast_2d(tokens, mask)
+        if tokens.shape[1] > cfg.max_len:
+            raise ValueError(f"sequence length {tokens.shape[1]} exceeds max_len {cfg.max_len}")
         if tokens.max(initial=0) >= cfg.vocab_size:
             raise ValueError(
                 f"token id {int(tokens.max())} out of range for vocab {cfg.vocab_size}")
@@ -223,15 +218,12 @@ class Encoder:
             raise ValueError(f"token id {int(tokens.min())} is negative")
         if mask.shape != tokens.shape:
             raise ValueError("mask shape must match tokens shape")
-        if positions is not None:
-            positions = tuple(np.asarray(ix, dtype=np.intp) for ix in positions)
-            if np.unique(np.ravel_multi_index(positions, (B, S))).size != positions[0].size:
-                raise ValueError("positions must be distinct grid positions")
-        if pooled_only:
-            if train or positions is not None:
-                raise ValueError("pooled_only is an inference mode; it cannot train "
-                                 "or take positions")
-            positions = cls_positions(B)
+        return tokens, mask
+
+    def _forward(self, tokens, mask, train, rng, positions, keep_cache):
+        """``forward`` past its checks; the cache is None unless ``keep_cache``."""
+        cfg, p = self.config, self.params
+        B, S = tokens.shape
         rate = cfg.dropout if train else 0.0
         if rate > 0.0 and rng is None:
             raise ValueError("training-mode forward with dropout needs an rng")
@@ -256,22 +248,19 @@ class Encoder:
         for i in range(cfg.num_layers):
             last_keep = keep if cut and i == cfg.num_layers - 1 else None
             x, blk_cache = self._block_forward(i, x, rows, key_mask, rate, rng, train,
-                                               not pooled_only, last_keep)
+                                               keep_cache, last_keep)
             caches.append(blk_cache)
         if not cut:
             x = x[keep]
         d = cfg.hidden_size
         x = x.reshape(B, S, d) if positions is None else x.reshape(keep.size, d)
-        if pooled_only:
-            return EncoderOutput(token_states=None, pooled=x), None
-
-        cache = {
+        if not keep_cache:
+            return x, None
+        return x, {
             "tokens": tokens, "emb_ln": emb_ln_cache, "emb_drop": emb_drop,
             "blocks": caches, "states_shape": x.shape, "rows": rows, "positions": asked,
             "keep": None if cut else keep,
         }
-        pooled = x[:, 0] if positions is None else None
-        return EncoderOutput(token_states=x, pooled=pooled), cache
 
     def _block_forward(self, i, x, rows, key_mask, rate, rng, train, keep_cache, keep):
         """One post-norm block; returns (output, cache), the cache None unless
@@ -328,15 +317,6 @@ class Encoder:
             "rows": rows, "keep": keep, "out_rows": out_rows,
         }
 
-    def encode(self, tokens, mask, pooled_only: bool = False) -> EncoderOutput:
-        """Inference-mode encoding: deterministic, no state mutation.
-
-        ``pooled_only`` computes the pooled vectors alone (see ``forward``),
-        which is all an entity table or a query vector needs.
-        """
-        output, _ = self.forward(tokens, mask, train=False, pooled_only=pooled_only)
-        return output
-
     # ----------------------------------------------------------------- backward
 
     def zero_grads(self) -> dict:
@@ -346,8 +326,8 @@ class Encoder:
     def backward(self, cache, d_states, grads=None) -> dict:
         """Backprop through the encoder body; returns the name -> gradient dict.
 
-        ``d_states`` is the gradient of the forward's ``token_states``, in their
-        shape, (K, d) or (B, S, d); another shape raises ValueError. Gradients
+        ``d_states`` is the gradient of the states the forward returned, in
+        their shape, (K, d) or (B, S, d); another shape raises ValueError. Gradients
         are added into ``grads`` when it is given (several passes of one step
         share one buffer), else into a fresh ``zero_grads()``. ``d_states`` and
         each gradient are rounded to the parameters' dtype first, so two passes

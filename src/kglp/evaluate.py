@@ -10,10 +10,10 @@ half the tied candidates counts against the gold.
 Entity embeddings are computed once per evaluation (one encoder pass per
 catalog entity), which is the payoff of the Siamese split: scoring a query
 against the whole catalog is a single matrix product. Entity and query vectors
-come from the encoder's pooled-only mode, which keeps no backward caches and
-runs the position-wise layers on real token rows only; the vectors are
-bit-identical to a full encode's (see ``Encoder.forward``). Layouts are encoded
-in stable length order, so short entities share narrow batches, and each
+come from ``Encoder.encode``, which keeps no backward caches and runs the
+position-wise layers on real token rows only; the vectors are the [CLS] rows
+of a full-grid forward, bit for bit (see ``Encoder.forward``). Layouts are
+encoded in stable length order, so short entities share narrow batches, and each
 batch's vectors are written into a table in catalog order. A vector does not
 depend on the batch it is encoded in, because a batch keeps ``trim_width``'s
 multiple-of-8 width: NumPy sums a softmax row in 8-lane blocks, and the zero
@@ -126,16 +126,17 @@ def check_entity_table(table: np.ndarray) -> None:
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
-    """Pooled vectors of layouts, in their order, through the pooled-only
-    encode: bit-identical to the [CLS] rows of a full encode. Layouts go
-    ``batch_size`` at a time in stable length order, so that short ones share
-    narrow batches, and each batch's rows are written into the result."""
+    """Pooled vectors of layouts, in their order, through ``Encoder.encode``.
+    Layouts go ``batch_size`` (>= 1, else ValueError) at a time in stable
+    length order, so that short ones share narrow batches, and each batch's
+    rows are written into the result."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     order = np.argsort([l.length for l in layouts], kind="stable")
     pooled = np.empty((len(layouts), encoder.config.hidden_size))
     for start in range(0, len(layouts), batch_size):
         batch = order[start:start + batch_size]
-        pooled[batch] = encoder.encode(*stack_layouts([layouts[i] for i in batch]),
-                                       pooled_only=True).pooled
+        pooled[batch] = encoder.encode(*stack_layouts([layouts[i] for i in batch]))
     return pooled
 
 

@@ -243,8 +243,8 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
     heads, relations, tails = Triples(batch).array.T
     pair_layouts = [assemble_pair(cat, h, r, config.pair_max_len)
                     for h, r in zip(heads.tolist(), relations.tolist())]
-    pair_out, pair_cache = encoder.forward(*stack_layouts(pair_layouts), train=True,
-                                           rng=rng, positions=cls_positions(len(heads)))
+    pair_vectors, pair_cache = encoder.forward(*stack_layouts(pair_layouts), train=True,
+                                               rng=rng, positions=cls_positions(len(heads)))
 
     if config.negative_mode == "in_batch":
         ent_ids = tails
@@ -271,10 +271,9 @@ def finetune_step(batch: Sequence[Triple], encoder: Encoder, cat: TokenizedCatal
 
     ent_layouts = [assemble_entity(cat, e, config.entity_max_len)
                    for e in ent_ids.tolist()]
-    ent_out, ent_cache = encoder.forward(*stack_layouts(ent_layouts), train=True,
-                                         rng=rng, positions=cls_positions(len(ent_ids)))
-    # the [CLS] states: the pooled vectors of both sides
-    pair_vectors, ent_vectors = pair_out.token_states, ent_out.token_states
+    # the [CLS] states of both sides are their pooled vectors
+    ent_vectors, ent_cache = encoder.forward(*stack_layouts(ent_layouts), train=True,
+                                             rng=rng, positions=cls_positions(len(ent_ids)))
     if not (np.isfinite(pair_vectors).all() and np.isfinite(ent_vectors).all()):
         raise TrainingDiverged(-1, {}, [])
     loss, l1, l2, dpair, dent = loss_and_vector_grads(pair_vectors, ent_vectors,

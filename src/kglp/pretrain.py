@@ -87,9 +87,8 @@ def _batch_losses(encoder: Encoder, samples: list[PretrainSample], train: bool,
     pos2 = y2 != PAD_ID
     pos_any = pos1 | pos2
     # the encoder computes the target rows only, in ``pos_any`` order
-    out, cache = encoder.forward(x, mask, train=train, rng=rng,
-                                 positions=np.nonzero(pos_any))
-    states = out.token_states
+    states, cache = encoder.forward(x, mask, train=train, rng=rng,
+                                    positions=np.nonzero(pos_any))
     if not pos_any.any():
         return 0.0, 0.0, (cache, np.zeros_like(states), {})
     logits, head_cache = encoder.predict_tokens(states, train=train)

@@ -7,7 +7,7 @@ def test_public_names_are_pinned():
     assert kglp.__all__ == [
         "FilterIndex", "KnowledgeGraph", "Triple", "augment_inverse",
         "build_filter_index", "dataset_statistics", "load_dataset", "resplit_unseen",
-        "CheckpointError", "Encoder", "EncoderConfig", "EncoderOutput",
+        "CheckpointError", "Encoder", "EncoderConfig",
         "load_checkpoint", "save_checkpoint",
         "RankingQuery", "RankingReport", "evaluate", "precompute_entity_embeddings",
         "rank_query",

@@ -632,6 +632,26 @@ def test_failed_entity_table_write_keeps_old_table(cli_run, tmp_path, monkeypatc
     assert sorted(os.listdir(run)) == listing
 
 
+def test_failed_entity_table_encode_keeps_checkpoint_table_and_manifest(
+        cli_run, tmp_path, monkeypatch, capsys):
+    # the table names its checkpoint by sha, so a rerun that fails while it
+    # encodes the table must not have replaced the checkpoint already
+    run = tmp_path / "run"
+    shutil.copytree(cli_run, run)
+    kept = ("finetune.npz", "entity_table.npz", "manifest.finetune.json")
+    old = {name: (run / name).read_bytes() for name in kept}
+
+    def failing_encode(*args, **kwargs):
+        raise ValueError("entity table row 0 is not finite")
+
+    monkeypatch.setattr(cli, "precompute_entity_embeddings", failing_encode)
+    assert main(["finetune", "--out", str(run), "--seed", "3", "--force",
+                 "--set", "finetune.epochs=1", "--set", "finetune.batch_size=16",
+                 *SMALL]) == 2
+    assert "not finite" in capsys.readouterr().err
+    assert {name: (run / name).read_bytes() for name in kept} == old
+
+
 def test_stale_checkpoint_after_reingest_exits_2(cli_run, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(cli_run, run)

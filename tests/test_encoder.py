@@ -60,8 +60,8 @@ def test_padding_invariance_exact(rng):
     content = [2, 7, 8, 9, 3]
     t1 = np.array([content + [0] * 3])
     t2 = np.array([content + [0] * 12])
-    p1 = enc.encode(t1, (t1 != 0).astype(np.int8)).pooled
-    p2 = enc.encode(t2, (t2 != 0).astype(np.int8)).pooled
+    p1 = enc.encode(t1, (t1 != 0).astype(np.int8))
+    p2 = enc.encode(t2, (t2 != 0).astype(np.int8))
     assert (p1 == p2).all()
 
 
@@ -69,9 +69,8 @@ def test_degenerate_all_pad_except_cls():
     enc = Encoder(CFG, seed=3)
     tokens = np.array([[2] + [0] * 9])
     mask = (tokens != 0).astype(np.int8)
-    out = enc.encode(tokens, mask)
-    assert np.isfinite(out.token_states).all()
-    assert np.isfinite(out.pooled).all()
+    assert np.isfinite(enc.forward(tokens, mask)[0]).all()
+    assert np.isfinite(enc.encode(tokens, mask)).all()
 
 
 def test_position_embeddings_are_active(rng):
@@ -83,8 +82,8 @@ def test_position_embeddings_are_active(rng):
     swapped = tokens.copy()
     swapped[0, 1], swapped[0, 2] = tokens[0, 2], tokens[0, 1]
     assert tokens[0, 1] != tokens[0, 2]
-    out1 = enc.encode(tokens, mask).pooled
-    out2 = enc.encode(swapped, mask).pooled
+    out1 = enc.encode(tokens, mask)
+    out2 = enc.encode(swapped, mask)
     assert not np.allclose(out1, out2)
 
 
@@ -120,17 +119,14 @@ def test_attention_rows_sum_to_one_over_non_pad(rng):
 def test_inference_determinism_bit_exact(rng):
     enc = Encoder(CFG, seed=7)
     tokens, mask = batch(rng)
-    a = enc.encode(tokens, mask)
-    b = enc.encode(tokens, mask)
-    assert (a.token_states == b.token_states).all()
-    assert (a.pooled == b.pooled).all()
+    assert (enc.forward(tokens, mask)[0] == enc.forward(tokens, mask)[0]).all()
+    assert (enc.encode(tokens, mask) == enc.encode(tokens, mask)).all()
 
 
 def test_pooled_is_cls_state(rng):
     enc = Encoder(CFG, seed=7)
     tokens, mask = batch(rng)
-    out = enc.encode(tokens, mask)
-    assert (out.pooled == out.token_states[:, 0]).all()
+    assert (enc.encode(tokens, mask) == enc.forward(tokens, mask)[0][:, 0]).all()
 
 
 def test_init_determinism():
@@ -336,15 +332,15 @@ def test_gradcheck_encoder_and_head_against_finite_differences():
     buffers0 = {k: v.copy() for k, v in enc.buffers.items()}
 
     def loss_value():
-        out, _ = enc.forward(tokens, mask, train=True)
-        logits, _ = enc.predict_tokens(out.token_states[target_pos], train=True)
+        states, _ = enc.forward(tokens, mask, train=True)
+        logits, _ = enc.predict_tokens(states[target_pos], train=True)
         ce, _ = cross_entropy(logits, targets)
-        loss = ce + float((out.token_states * probe).sum())
+        loss = ce + float((states * probe).sum())
         enc.buffers = {k: v.copy() for k, v in buffers0.items()}
         return loss
 
-    out, cache = enc.forward(tokens, mask, train=True)
-    logits, head_cache = enc.predict_tokens(out.token_states[target_pos], train=True)
+    states, cache = enc.forward(tokens, mask, train=True)
+    logits, head_cache = enc.predict_tokens(states[target_pos], train=True)
     ce, dlogits = cross_entropy(logits, targets)
     head_grads, dstates = enc.head_backward(head_cache, dlogits)
     d_token_states = probe.copy()
@@ -393,12 +389,12 @@ def test_float32_params_compute_in_float64_after_first_gelu(rng):
     enc = Encoder(CFG, seed=7)
     assert all(p.dtype == np.float32 for p in enc.params.values())
     tokens, mask = batch(rng)
-    out, cache = enc.forward(tokens, mask, train=False)
-    assert out.token_states.dtype == np.float64
-    assert out.pooled.dtype == np.float64
-    logits, _ = enc.predict_tokens(out.token_states[:, 1], train=False)
+    states, cache = enc.forward(tokens, mask, train=False)
+    assert states.dtype == np.float64
+    assert enc.encode(tokens, mask).dtype == np.float64
+    logits, _ = enc.predict_tokens(states[:, 1], train=False)
     assert logits.dtype == np.float64
-    d_states = np.zeros_like(out.token_states)
+    d_states = np.zeros_like(states)
     d_states[:, 0] = 1.0
     grads = enc.backward(cache, d_states)
     assert all(grads[k].dtype == np.float32 for k in enc.params)
@@ -423,12 +419,12 @@ def _finetune_passes(rng):
                         ff_size=48, max_len=24, dropout=0.1)
     enc = Encoder(cfg, seed=3)
     drop = np.random.default_rng(5)
-    pair_out, pair_cache = enc.forward(*batch(rng, n=5, s=12), train=True, rng=drop,
-                                       positions=cls_positions(5))
-    ent_out, ent_cache = enc.forward(*batch(rng, n=5, s=8), train=True, rng=drop,
-                                     positions=cls_positions(5))
-    return enc, [(pair_cache, rng.standard_normal(pair_out.token_states.shape)),
-                 (ent_cache, rng.standard_normal(ent_out.token_states.shape))]
+    pair_states, pair_cache = enc.forward(*batch(rng, n=5, s=12), train=True, rng=drop,
+                                          positions=cls_positions(5))
+    ent_states, ent_cache = enc.forward(*batch(rng, n=5, s=8), train=True, rng=drop,
+                                        positions=cls_positions(5))
+    return enc, [(pair_cache, rng.standard_normal(pair_states.shape)),
+                 (ent_cache, rng.standard_normal(ent_states.shape))]
 
 
 def test_one_buffer_finetune_backward_matches_two_buffer_merge(rng):

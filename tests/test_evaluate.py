@@ -109,6 +109,17 @@ def test_entity_table_shape_and_determinism(toy_aug, toy_vocab):
     assert np.isfinite(t1).all()  # entities with empty descriptions included
 
 
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_batch_size_below_one_is_refused(toy_aug, toy_vocab, batch_size):
+    cat = TokenizedCatalog(toy_aug, toy_vocab)
+    enc = tiny_encoder(toy_vocab.size)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        precompute_entity_embeddings(enc, cat, 16, batch_size=batch_size)
+    with pytest.raises(ValueError, match=f"batch_size must be >= 1, got {batch_size}"):
+        evaluate(toy_aug, enc, "test", cat=cat, pair_max_len=32, entity_max_len=16,
+                 batch_size=batch_size)
+
+
 def test_rank_query_agrees_with_evaluate(toy_aug, toy_vocab):
     enc = tiny_encoder(toy_vocab.size, seed=3)
     cat = TokenizedCatalog(toy_aug, toy_vocab)

@@ -1,10 +1,12 @@
-"""The pooled-only inference encode against a full-sequence reference.
+"""``Encoder.encode``, the [CLS] vectors, against a full-sequence reference.
 
-Entity tables, query vectors and ranks from the pooled-only mode must equal,
-bit for bit, what a forward that runs every position through every layer
-gives. The pooled-only mode runs real rows only; a batch of one runs its last
-block on every real row.
+Entity tables, query vectors and ranks from ``encode`` must equal, bit for
+bit, what a forward that runs every position through every layer gives.
+``encode`` runs real rows only; a batch of one runs its last block on every
+real row.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import kglp
 from kglp import layers
 from kglp.data import build_filter_index
+from kglp.encoder import cls_positions
 from kglp.evaluate import (RankingQuery, _encode_pooled, evaluate,
                            precompute_entity_embeddings, queries_for_split,
                            query_scores, rank_from_scores, rank_query)
@@ -43,9 +46,9 @@ def mixed_batch(rng, n, s, vocab):
 def test_plain_encode_matches_reference(rng, num_layers):
     enc = small_encoder(60, num_layers, seed=5)
     tokens, mask = mixed_batch(rng, 9, 24, 60)
-    out = enc.encode(tokens, mask)
-    assert np.array_equal(out.token_states, reference_encode_states(enc, tokens, mask))
-    assert np.array_equal(out.pooled, out.token_states[:, 0])
+    states, _ = enc.forward(tokens, mask)
+    assert np.array_equal(states, reference_encode_states(enc, tokens, mask))
+    assert np.array_equal(enc.encode(tokens, mask), states[:, 0])
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])
@@ -54,19 +57,31 @@ def test_plain_encode_matches_reference(rng, num_layers):
 def test_pooled_only_is_bit_identical(rng, num_layers, n, s):
     enc = small_encoder(60, num_layers, seed=5)
     tokens, mask = mixed_batch(rng, n, s, 60)
-    out = enc.encode(tokens, mask, pooled_only=True)
-    assert out.token_states is None
-    assert out.pooled.shape == (n, 32)
-    assert np.array_equal(out.pooled, reference_encode_states(enc, tokens, mask)[:, 0])
+    pooled = enc.encode(tokens, mask)
+    assert pooled.shape == (n, 32)
+    assert np.array_equal(pooled, reference_encode_states(enc, tokens, mask)[:, 0])
 
 
-def test_pooled_only_keeps_no_cache_and_cannot_train(rng):
+def _peak_bytes(call):
+    """The tracemalloc peak while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encode_keeps_no_backward_caches(rng):
+    # a forward of the same [CLS] rows keeps both blocks' activations for
+    # backward; encode drops each block's as soon as the next one runs. An
+    # encode that built the caches and dropped them on return would peak
+    # within bytes of the forward, so the gap asked for is a clear one.
     enc = small_encoder(60, 2)
-    tokens, mask = mixed_batch(rng, 4, 16, 60)
-    out, cache = enc.forward(tokens, mask, pooled_only=True)
-    assert cache is None and out.token_states is None
-    with pytest.raises(ValueError, match="inference"):
-        enc.forward(tokens, mask, train=True, rng=rng, pooled_only=True)
+    tokens, mask = mixed_batch(rng, 64, 32, 60)
+    encode_peak = _peak_bytes(lambda: enc.encode(tokens, mask))
+    forward_peak = _peak_bytes(lambda: enc.forward(tokens, mask, positions=cls_positions(64)))
+    assert encode_peak < 0.8 * forward_peak
 
 
 @pytest.mark.parametrize("n, cls_rows", [(4, True), (1, False)])
@@ -81,7 +96,7 @@ def test_last_block_runs_cls_rows_only_past_attention(rng, monkeypatch, n, cls_r
         return real(x, w, b)
 
     monkeypatch.setattr(layers, "linear_forward", spy)
-    enc.encode(tokens, mask, pooled_only=True)
+    enc.encode(tokens, mask)
     # q, k, v on the real rows; then attn.wo, ff.w1, ff.w2 on the [CLS] rows.
     # A batch of one asks for one row, so its last block keeps every real row:
     # a one-row product would sum in another order than the grid's.
@@ -114,17 +129,17 @@ def test_pooled_only_equals_reference_for_any_lengths(num_layers, batch):
     mask = (np.arange(s)[None, :] < np.array(lengths)[:, None]).astype(np.int8)
     tokens = np.random.default_rng(seed).integers(5, 60, size=(n, s)) * mask
     tokens[:, 0] = 2
-    pooled = enc.encode(tokens, mask, pooled_only=True).pooled
+    pooled = enc.encode(tokens, mask)
     assert np.array_equal(pooled, reference_encode_states(enc, tokens, mask)[:, 0])
 
 
-@pytest.mark.parametrize("pooled_only", [False, True])
-def test_negative_token_id_rejected(pooled_only):
+@pytest.mark.parametrize("cls_rows", [False, True])
+def test_negative_token_id_rejected(cls_rows):
     enc = small_encoder(60, 1)
     tokens = np.array([[2, 7, -1, 3], [2, 9, 8, 3]])
     mask = np.ones_like(tokens, dtype=np.int8)
     with pytest.raises(ValueError, match="negative"):
-        enc.encode(tokens, mask, pooled_only=pooled_only)
+        (enc.encode if cls_rows else enc.forward)(tokens, mask)
 
 
 @pytest.mark.parametrize("num_layers", [1, 2])

@@ -81,12 +81,12 @@ def test_one_nll_pass_matches_per_term_cross_entropy(pair_kg, pair_cat, pair_voc
     width = trim_width([s.layout.length for s in samples], samples[0].x.shape[0])
     x, mask, y1, y2 = (np.stack([getattr(s, name)[:width] for s in samples])
                        for name in ("x", "mask", "y1", "y2"))
-    out, _ = enc.forward(x, mask, train=False)
+    states, _ = enc.forward(x, mask, train=False)
     pos1, pos2 = y1 != PAD_ID, y2 != PAD_ID
     assert pos1.any() and pos2.any() and not (pos1 & pos2).any()
     pos_any = pos1 | pos2
     sel1, sel2 = pos1[pos_any], pos2[pos_any]
-    logits, head_cache = enc.predict_tokens(out.token_states[pos_any], train=False)
+    logits, head_cache = enc.predict_tokens(states[pos_any], train=False)
     want_mim, dlog1 = cross_entropy(logits[sel1], y1[pos1])
     want_mlm, dlog2 = cross_entropy(logits[sel2], y2[pos2])
     dlogits = np.zeros_like(logits)

@@ -70,12 +70,12 @@ def test_rows_path_gradcheck_against_finite_differences(kind):
     buffers0 = {k: v.copy() for k, v in enc.buffers.items()}
 
     def loss_and_cache():
-        out, cache = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(7),
-                                 positions=positions)
-        logits, head_cache = enc.predict_tokens(out.token_states, train=True)
+        states, cache = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(7),
+                                    positions=positions)
+        logits, head_cache = enc.predict_tokens(states, train=True)
         ce, dlogits = cross_entropy(logits, targets)
         enc.buffers = {k: v.copy() for k, v in buffers0.items()}
-        return ce + float((out.token_states * probe).sum()), cache, head_cache, dlogits
+        return ce + float((states * probe).sum()), cache, head_cache, dlogits
 
     _, cache, head_cache, dlogits = loss_and_cache()
     grads, dstates = enc.head_backward(head_cache, dlogits, enc.zero_grads())
@@ -111,8 +111,8 @@ def test_rows_path_states_rng_and_gradients_match_grid_path(kind, num_layers):
 
     def run(forward, backward, d_states):
         drop = np.random.default_rng(9)
-        out, cache = forward(tokens, mask, train=True, rng=drop, positions=positions)
-        return out.token_states, drop.bit_generator.state, backward(cache, d_states)
+        states, cache = forward(tokens, mask, train=True, rng=drop, positions=positions)
+        return states, drop.bit_generator.state, backward(cache, d_states)
 
     states, rng_state, grads = run(enc.forward, enc.backward, d_states[positions])
     want_states, want_rng_state, want_grads = run(partial(reference_grid_forward, enc),
@@ -160,8 +160,9 @@ def _training_step(stage, enc, pair_kg, pair_cat):
 def test_training_step_losses_equal_grid_path(monkeypatch, pair_kg, pair_vocab, pair_cat,
                                               stage):
     def grid_forward(self, tokens, mask, positions=None, **kwargs):
-        out, cache = reference_grid_forward(self, tokens, mask, positions=positions, **kwargs)
-        return out, {**cache, "positions": positions}
+        states, cache = reference_grid_forward(self, tokens, mask, positions=positions,
+                                               **kwargs)
+        return states, {**cache, "positions": positions}
 
     def grid_backward(self, cache, d_states, grads=None):
         """The oracle, given the (K, d) gradient spread into the grid."""
@@ -190,10 +191,10 @@ def _linear_rows(monkeypatch, forward, tokens, mask, positions):
         return real(x, w, b)
 
     monkeypatch.setattr(layers, "linear_forward", spy)
-    out, cache = forward(tokens, mask, train=True, rng=np.random.default_rng(0),
-                         positions=positions)
+    states, cache = forward(tokens, mask, train=True, rng=np.random.default_rng(0),
+                            positions=positions)
     monkeypatch.undo()
-    return shapes, out, cache
+    return shapes, states, cache
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -202,11 +203,11 @@ def test_block_zero_sees_real_rows_and_the_last_block_the_kept_rows(monkeypatch,
     tokens, mask = padded_batch(np.random.default_rng(1), n=4, s=11)
     positions = KINDS[kind](mask)
     R, K = int(mask.sum()), positions[0].size
-    shapes, out, _ = _linear_rows(monkeypatch, enc.forward, tokens, mask, positions)
+    shapes, states, _ = _linear_rows(monkeypatch, enc.forward, tokens, mask, positions)
     # block 0: q, k, v, attn.wo, ff.w1, ff.w2 on the real rows; the last block:
     # q, k, v on the real rows, then attn.wo, ff.w1, ff.w2 on the kept rows
     assert shapes == [(R, 16)] * 5 + [(R, 24)] + [(R, 16)] * 3 + [(K, 16), (K, 16), (K, 24)]
-    assert out.token_states.shape == (K, 16) and out.pooled is None
+    assert states.shape == (K, 16)
 
 
 def _edge_case(n, s, lengths, kept):
@@ -237,12 +238,12 @@ def test_edge_cases_take_one_row_products_only_where_the_grid_does(monkeypatch, 
     sums in another order), and the states are the oracle's, bit for bit."""
     enc = f64_encoder(23)
     tokens, mask, positions = _edge_case(*EDGE_CASES[case])
-    shapes, out, cache = _linear_rows(monkeypatch, enc.forward, tokens, mask, positions)
+    shapes, states, cache = _linear_rows(monkeypatch, enc.forward, tokens, mask, positions)
     want_shapes, want, want_cache = _linear_rows(
         monkeypatch, partial(reference_grid_forward, enc), tokens, mask, positions)
     assert len(shapes) == len(want_shapes) == 12
     assert [x[-2] == 1 for x in shapes] == [x[-2] == 1 for x in want_shapes]
-    assert np.array_equal(out.token_states, want.token_states)
+    assert np.array_equal(states, want)
 
     d_states = np.zeros((*tokens.shape, 16))
     d_states[positions] = np.random.default_rng(4).standard_normal((positions[0].size, 16))
@@ -271,10 +272,10 @@ def test_positions_must_be_distinct_grid_positions():
 def test_backward_refuses_a_gradient_not_shaped_like_the_states(positions, bad_shape):
     enc = f64_encoder(23)
     tokens, mask = padded_batch(np.random.default_rng(2))  # B = 3, S = 9
-    out, cache = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(0),
-                             positions=positions)
-    want = f"d_states is {bad_shape}, not the forward's {out.token_states.shape}"
+    states, cache = enc.forward(tokens, mask, train=True, rng=np.random.default_rng(0),
+                                positions=positions)
+    want = f"d_states is {bad_shape}, not the forward's {states.shape}"
     with pytest.raises(ValueError, match=re.escape(want)):
         enc.backward(cache, np.ones(bad_shape))
     # the forward's own shape is taken
-    enc.backward(cache, np.ones_like(out.token_states))
+    enc.backward(cache, np.ones_like(states))

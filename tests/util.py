@@ -409,8 +409,8 @@ def reference_finetune_report(batch, encoder, cat, label_filter, config, rng,
     from kglp.text import assemble_entity, assemble_pair
     pair_layouts = [assemble_pair(cat, t.head, t.relation, config.pair_max_len)
                     for t in batch]
-    pair_out, _ = encoder.forward(*reference_stack_layouts(pair_layouts),
-                                  train=True, rng=rng)
+    pair_states, _ = encoder.forward(*reference_stack_layouts(pair_layouts),
+                                     train=True, rng=rng)
     if config.negative_mode == "in_batch":
         ent_ids = np.array([t.tail for t in batch])
         labels = build_label_matrix(batch, label_filter)
@@ -428,10 +428,10 @@ def reference_finetune_report(batch, encoder, cat, label_filter, config, rng,
         cell_mask[np.arange(n), tail_cols] = True
         cell_mask[np.arange(n)[:, None], neg_cols] = True
     ent_layouts = [assemble_entity(cat, int(e), config.entity_max_len) for e in ent_ids]
-    ent_out, _ = encoder.forward(*reference_stack_layouts(ent_layouts),
-                                 train=True, rng=rng)
-    scores = score_batch(pair_out.pooled, ent_out.pooled)
-    diffs = abs_diff_sums(pair_out.pooled, ent_out.pooled)
+    ent_states, _ = encoder.forward(*reference_stack_layouts(ent_layouts),
+                                    train=True, rng=rng)
+    scores = score_batch(pair_states[:, 0], ent_states[:, 0])
+    diffs = abs_diff_sums(pair_states[:, 0], ent_states[:, 0])
     fp = config.focal()
     loss = joint_loss(scores, diffs, labels, fp, cell_mask)
     l1, l2 = reference_loss_components(scores, diffs, labels, fp, cell_mask)
@@ -445,10 +445,10 @@ def reference_pretrain_losses(encoder, samples, rng):
     arrays; the head's running statistics of ``encoder`` are updated."""
     from kglp.layers import cross_entropy
     x, mask, y1, y2 = reference_stack_and_trim(samples)
-    out, _ = encoder.forward(x, mask, train=True, rng=rng)
+    states, _ = encoder.forward(x, mask, train=True, rng=rng)
     pos1, pos2 = y1 != 0, y2 != 0
     pos_any = pos1 | pos2
-    logits, _ = encoder.predict_tokens(out.token_states[pos_any], train=True)
+    logits, _ = encoder.predict_tokens(states[pos_any], train=True)
     mim, _ = cross_entropy(logits[pos1[pos_any]], y1[pos1])
     mlm, _ = cross_entropy(logits[pos2[pos_any]], y2[pos2])
     return mlm, mim
@@ -464,7 +464,7 @@ def reference_ranks(encoder, cat, kg, split, pair_max_len, entity_max_len,
 
     def pooled(layouts):
         return np.concatenate([
-            encoder.encode(*reference_stack_layouts(layouts[s:s + batch_size])).pooled
+            encoder.forward(*reference_stack_layouts(layouts[s:s + batch_size]))[0][:, 0]
             for s in range(0, len(layouts), batch_size)])
 
     table = pooled([assemble_entity(cat, e, entity_max_len)
@@ -488,9 +488,8 @@ def reference_grid_forward(encoder, tokens, mask, train=False, rng=None, positio
     forward computed real rows only: every block sends every position through
     every layer, dropout draws its masks on the full arrays in the same order,
     and ``positions`` gathers the states at the end. Returns
-    (EncoderOutput, cache) for ``reference_grid_backward``."""
+    (states, cache), the cache for ``reference_grid_backward``."""
     from kglp import layers as L
-    from kglp.encoder import EncoderOutput
     p, cfg = encoder.params, encoder.config
     tokens, mask = np.atleast_2d(tokens), np.atleast_2d(mask)
     B, S = tokens.shape
@@ -525,9 +524,7 @@ def reference_grid_forward(encoder, tokens, mask, train=False, rng=None, positio
         x, c["ln2"] = L.layernorm_forward(h1 + f, w["ln2.g"], w["ln2.b"])
         blocks.append(c)
     cache = {"tokens": tokens, "emb_ln": emb_ln, "emb_drop": emb_drop, "blocks": blocks}
-    if positions is not None:
-        return EncoderOutput(token_states=x[tuple(positions)], pooled=None), cache
-    return EncoderOutput(token_states=x, pooled=x[:, 0]), cache
+    return (x if positions is None else x[tuple(positions)]), cache
 
 
 def reference_grid_backward(encoder, cache, d_states, grads=None):
@@ -589,14 +586,14 @@ def reference_grid_backward(encoder, cache, d_states, grads=None):
 
 def reference_encode_states(encoder, tokens, mask):
     """Token states of a full-grid inference forward, as ``Encoder.encode``
-    computed them before the pooled-only mode."""
-    return reference_grid_forward(encoder, tokens, mask)[0].token_states
+    computed them before it computed the [CLS] rows alone."""
+    return reference_grid_forward(encoder, tokens, mask)[0]
 
 
 def reference_encode_pooled(encoder, layouts, batch_size):
     """Pooled vectors of layouts as ``evaluate._encode_pooled`` computed them
-    before the pooled-only mode: reference-trimmed batches, full-sequence
-    forward, [CLS] rows."""
+    before ``Encoder.encode`` computed the [CLS] rows alone: reference-trimmed
+    batches, full-sequence forward, [CLS] rows."""
     return np.concatenate([
         reference_encode_states(encoder, *reference_stack_layouts(layouts[s:s + batch_size]))[:, 0]
         for s in range(0, len(layouts), batch_size)])
