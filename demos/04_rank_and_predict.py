@@ -36,14 +36,15 @@ gold = kg.entity_index("rock")
 print("catalog order:", kg.entity_ids)
 print("raw scores   :", scores.tolist())
 
-unfiltered = rank_from_scores(scores, gold, set())
-filtered = rank_from_scores(scores, gold, index[(sun, heats)] | {gold})
+nothing_known = np.array([], dtype=np.int64)
+unfiltered = rank_from_scores(scores, gold, nothing_known)
+filtered = rank_from_scores(scores, gold, index.tails((sun, heats)))
 print(f"rank of 'rock': unfiltered={unfiltered}  filtered={filtered} "
       f"(known-true 'sand' and 'sea' are removed before ranking)")
 
 tied = np.array([0.5, 0.5, 0.5, 0.5])
 print("all-tied scores give the mid rank:",
-      rank_from_scores(tied, gold, set()))
+      rank_from_scores(tied, gold, nothing_known))
 
 # the evaluator builds two queries per test triple: (h, r, ?) and (t, r_rev, ?)
 for q in queries_for_split(kg, "test"):

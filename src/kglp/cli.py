@@ -236,12 +236,15 @@ def cmd_finetune(args) -> int:
 
     history = run_finetune(kg, vocab, encoder, rc.finetune,
                            log_path=out_dir / "finetune_log.jsonl")
-    # the table first: a failed encode leaves the old checkpoint beside its table
+    # the table first, and both files move into place only once both are
+    # written: a failed encode or write leaves the old checkpoint beside its table
     table = precompute_entity_embeddings(encoder, TokenizedCatalog(kg, vocab),
                                          rc.finetune.entity_max_len)
-    save_checkpoint(encoder, ckpt_out)
-    with atomic_write(table_out) as fh:
-        np.savez(fh, table=table, checkpoint_sha256=np.array(file_sha256(ckpt_out)))
+    with atomic_write(ckpt_out) as ckpt_fh, atomic_write(table_out) as table_fh:
+        save_checkpoint(encoder, ckpt_fh)
+        ckpt_fh.flush()
+        np.savez(table_fh, table=table,
+                 checkpoint_sha256=np.array(file_sha256(ckpt_fh.name)))
 
     best = max((h.get("val_hits10", -1.0) for h in history), default=-1.0)
     write_manifest(out_dir, "finetune", rc, inputs=inputs,

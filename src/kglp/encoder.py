@@ -432,8 +432,8 @@ class Encoder:
     def head_backward(self, cache, dlogits, grads=None):
         """Backprop the prediction head; returns (grads, d_token_states).
 
-        Head gradients are added into ``grads`` when it is given (rounded as in
-        ``backward``), else returned in a new dict of their own.
+        Head gradients are added, rounded as in ``backward``, into ``grads`` when
+        it is given, else into a fresh ``zero_grads()``.
         """
         head = {}
         flat = dlogits.reshape(-1, dlogits.shape[-1])
@@ -442,10 +442,9 @@ class Encoder:
         du = L.gelu_backward(dg_in, cache["gelu"])
         dstates, head["head.w1"], head["head.b1"] = L.linear_backward(du, cache["lin1"])
         if grads is None:
-            grads = head
-        else:
-            for name, g in head.items():
-                _add(grads, name, g)
+            grads = self.zero_grads()
+        for name, g in head.items():
+            _add(grads, name, g)
         return grads, dstates.reshape(*cache["lead_shape"], -1)
 
     # -------------------------------------------------------------- persistence
@@ -482,14 +481,18 @@ def _add(grads: dict, name: str, g: np.ndarray) -> None:
 
 
 def save_checkpoint(encoder: Encoder, path) -> None:
-    """Self-describing container: format tag, config JSON, named tensors;
-    written atomically, so a failed save keeps the previous file."""
+    """Self-describing container: format tag, config JSON, named tensors. A
+    file name is written atomically, so a failed save keeps the previous file;
+    an open binary file is written as ``np.savez`` writes one."""
     meta = {"format": CHECKPOINT_FORMAT, "config": asdict(encoder.config)}
     arrays = {"__meta__": np.array(json.dumps(meta))}
     for name, arr in encoder.params.items():
         arrays[f"param::{name}"] = arr
     for name, arr in encoder.buffers.items():
         arrays[f"buffer::{name}"] = arr
+    if hasattr(path, "write"):
+        np.savez(path, **arrays)
+        return
     with atomic_write(path) as fh:
         np.savez(fh, **arrays)
 

@@ -147,12 +147,11 @@ def query_scores(encoder: Encoder, pair_layouts, table_unit: np.ndarray) -> np.n
     return unit_rows(pooled)[0] @ table_unit.T
 
 
-def rank_from_scores(scores: np.ndarray, gold: int,
-                     known_true: np.ndarray | set[int]) -> int:
+def rank_from_scores(scores: np.ndarray, gold: int, known_true: np.ndarray) -> int:
     """Filtered mid-rank of the gold among the candidates.
 
-    Candidates in ``known_true`` (an int array such as ``FilterIndex.tails``, or
-    a set) other than the gold are discarded; the rank is
+    Candidates in ``known_true`` (an int array such as ``FilterIndex.tails``)
+    other than the gold are discarded; the rank is
     1 + (strictly better survivors) + ceil(ties / 2).
     """
     if not 0 <= gold < scores.shape[0]:
@@ -160,8 +159,6 @@ def rank_from_scores(scores: np.ndarray, gold: int,
     if not np.isfinite(scores[gold]):
         raise ValueError(f"score {scores[gold]} of gold entity {gold} is not finite")
     keep = np.ones(scores.shape[0], dtype=bool)
-    if not isinstance(known_true, np.ndarray):
-        known_true = np.fromiter(known_true, dtype=np.int64, count=len(known_true))
     keep[known_true] = False
     keep[gold] = True
     g = scores[gold]

@@ -57,9 +57,6 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def __len__(self) -> int:
-        return len(self.id_to_token)
-
     def id(self, token: str) -> int:
         return self.token_to_id.get(token, UNK_ID)
 

@@ -610,10 +610,12 @@ def test_predict_filtered_is_unfiltered_minus_index_completions(cli_run, capsys)
 
 def test_failed_entity_table_write_keeps_old_table(cli_run, tmp_path, monkeypatch,
                                                    capsys):
+    # the table names its checkpoint by sha, so the checkpoint moves into
+    # place only with a table that was written in full
     run = tmp_path / "run"
     shutil.copytree(cli_run, run)
-    table = run / "entity_table.npz"
-    old = table.read_bytes()
+    kept = ("finetune.npz", "entity_table.npz", "manifest.finetune.json")
+    old = {name: (run / name).read_bytes() for name in kept}
     listing = sorted(os.listdir(run))
     real_savez = np.savez
 
@@ -628,7 +630,7 @@ def test_failed_entity_table_write_keeps_old_table(cli_run, tmp_path, monkeypatc
                  "--set", "finetune.epochs=1", "--set", "finetune.batch_size=16",
                  *SMALL]) == 1
     assert "disk full" in capsys.readouterr().err
-    assert table.read_bytes() == old
+    assert {name: (run / name).read_bytes() for name in kept} == old
     assert sorted(os.listdir(run)) == listing
 
 

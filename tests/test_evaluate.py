@@ -24,36 +24,40 @@ def tiny_encoder(vocab_size, seed=0):
                                            max_len=32), seed=seed)
 
 
+def ids(*entities):
+    return np.array(entities, dtype=np.int64)
+
+
 def test_rank_gold_strictly_highest():
     scores = np.array([0.1, 0.9, 0.3])
-    assert rank_from_scores(scores, gold=1, known_true={1}) == 1
+    assert rank_from_scores(scores, gold=1, known_true=ids(1)) == 1
 
 
 def test_rank_hand_cases():
     scores = np.array([0.9, 0.8, 0.7, 0.6])
-    assert rank_from_scores(scores, gold=2, known_true=set()) == 3
+    assert rank_from_scores(scores, gold=2, known_true=ids()) == 3
     # filtering removes a higher-scoring known-true candidate
-    assert rank_from_scores(scores, gold=2, known_true={0, 2}) == 2
+    assert rank_from_scores(scores, gold=2, known_true=ids(0, 2)) == 2
     # mid-rank tie policy: two non-gold ties -> ceil(2/2) = 1 extra
     tied = np.array([0.5, 0.5, 0.5, 0.1])
-    assert rank_from_scores(tied, gold=0, known_true=set()) == 2
+    assert rank_from_scores(tied, gold=0, known_true=ids()) == 2
 
 
 def test_rank_filtered_never_removes_gold():
     scores = np.array([0.9, 0.1])
-    assert rank_from_scores(scores, gold=0, known_true={0, 1}) == 1
+    assert rank_from_scores(scores, gold=0, known_true=ids(0, 1)) == 1
 
 
 def test_rank_gold_out_of_range():
     with pytest.raises(ValueError, match="catalog"):
-        rank_from_scores(np.array([0.5]), gold=3, known_true=set())
+        rank_from_scores(np.array([0.5]), gold=3, known_true=ids())
 
 
 def test_rank_non_finite_gold_raises():
     with pytest.raises(ValueError, match="not finite"):
-        rank_from_scores(np.full(3, np.nan), gold=0, known_true=set())
+        rank_from_scores(np.full(3, np.nan), gold=0, known_true=ids())
     with pytest.raises(ValueError, match="gold entity 1"):
-        rank_from_scores(np.array([0.5, np.inf, 0.1]), gold=1, known_true=set())
+        rank_from_scores(np.array([0.5, np.inf, 0.1]), gold=1, known_true=ids())
 
 
 def test_rank_matches_naive_sort_oracle(rng):
@@ -64,7 +68,7 @@ def test_rank_matches_naive_sort_oracle(rng):
         gold = int(rng.integers(n))
         known = set(int(i) for i in rng.integers(0, n, size=rng.integers(0, n)))
         known.add(gold)
-        got = rank_from_scores(scores, gold, known)
+        got = rank_from_scores(scores, gold, ids(*known))
         assert got == naive_rank(scores, gold, known)
 
 

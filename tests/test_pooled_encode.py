@@ -165,7 +165,7 @@ def test_table_scores_and_ranks_match_reference(pair_kg, pair_vocab, num_layers,
         scores = reference_unit_rows(reference_encode_pooled(enc, chunk, batch_size)) \
             @ table_unit.T
         assert np.array_equal(query_scores(enc, chunk, got), scores)
-        ranks += [rank_from_scores(row, q.gold, filt[(q.entity, q.relation)])
+        ranks += [rank_from_scores(row, q.gold, filt.tails((q.entity, q.relation)))
                   for row, q in zip(scores, queries[start:start + batch_size])]
     report = evaluate(pair_kg, enc, "valid", cat=cat, pair_max_len=32,
                       entity_max_len=12, batch_size=batch_size)

@@ -478,7 +478,7 @@ def reference_ranks(encoder, cat, kg, split, pair_max_len, entity_max_len,
         scores = reference_unit_rows(pooled(
             [assemble_pair(cat, q.entity, q.relation, pair_max_len) for q in chunk])
         ) @ table_unit.T
-        ranks += [rank_from_scores(row, q.gold, filt[(q.entity, q.relation)])
+        ranks += [rank_from_scores(row, q.gold, filt.tails((q.entity, q.relation)))
                   for row, q in zip(scores, chunk)]
     return table, ranks
 
