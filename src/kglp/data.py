@@ -360,7 +360,7 @@ def augment_inverse(kg: KnowledgeGraph) -> KnowledgeGraph:
 class FilterIndex:
     """Map from (entity, relation) query keys to the set of known-true completions.
 
-    ``FilterIndex(heads, relations, tails, num_entities, num_relations, splits)``
+    ``FilterIndex(heads, relations, tails, num_entities, num_relations)``
     indexes the completions ``(heads[i], relations[i], tails[i])`` of a catalog
     of the given sizes. The columns are taken as int64 (a non-integer one
     raises ``TypeError``), duplicates are kept once, and an index outside the
@@ -384,7 +384,7 @@ class FilterIndex:
     """
 
     def __init__(self, heads: np.ndarray, relations: np.ndarray, tails: np.ndarray,
-                 num_entities: int, num_relations: int, splits: tuple[str, ...]):
+                 num_entities: int, num_relations: int):
         if num_entities * num_entities * num_relations > np.iinfo(np.int64).max:
             raise ValueError(
                 f"{num_entities} entities x {num_relations} relations overflow the "
@@ -400,7 +400,6 @@ class FilterIndex:
                 raise ValueError(f"filter index {name} outside the catalog [0, {size})")
             columns.append(column.astype(np.int64, copy=False))
         heads, relations, tails = columns
-        self.splits = splits
         self._num_entities, self._num_relations = num_entities, num_relations
         codes = (heads * num_relations + relations) * num_entities + tails
         codes.sort()
@@ -462,7 +461,7 @@ def build_filter_index(kg: KnowledgeGraph, splits: tuple[str, ...] = SPLITS) -> 
         raise ValueError("filter index requires an augmented graph")
     rows = [kg.splits[name].array for name in splits]
     heads, relations, tails = np.concatenate(rows or [np.empty((0, 3), np.int64)]).T
-    return FilterIndex(heads, relations, tails, kg.num_entities, kg.num_relations, splits)
+    return FilterIndex(heads, relations, tails, kg.num_entities, kg.num_relations)
 
 
 def resplit_unseen(kg: KnowledgeGraph, ratio: float, seed: int) -> KnowledgeGraph:

@@ -12,16 +12,12 @@ catalog entity), which is the payoff of the Siamese split: scoring a query
 against the whole catalog is a single matrix product. Entity and query vectors
 come from ``Encoder.encode``, which keeps no backward caches and runs the
 position-wise layers on real token rows only; the vectors are the [CLS] rows
-of a full-grid forward, bit for bit (see ``Encoder.forward``). Layouts are
-encoded in stable length order, so short entities share narrow batches, and each
-batch's vectors are written into a table in catalog order. A vector does not
-depend on the batch it is encoded in, because a batch keeps ``trim_width``'s
-multiple-of-8 width: NumPy sums a softmax row in 8-lane blocks, and the zero
-weights of PAD keys past the real length leave those sums unchanged only up to
-a multiple of 8. Past 128, NumPy's pairwise-summation block, no such width
-exists, so when the layout length is above 128 every batch keeps that length.
-``evaluate`` times its three phases (entity table, query encodes, ranking) in
-``RankingReport.phase_seconds``.
+of a full-grid forward, bit for bit (see ``Encoder.forward``). ``evaluate``
+encodes its queries as it encodes the table, in batches of one ``trim_width``
+each: BLAS sums the attention products of a wider batch in another order, so
+only then is a vector the one its layout encoded alone gives. ``evaluate``
+times its phases (entity table; query layouts and encodes; scoring and
+ranking) in ``RankingReport.phase_seconds``.
 
 An entity table is the unit rows of the pooled vectors, the rows that ranking
 reads: ``precompute_entity_embeddings`` normalises them once, when it builds
@@ -34,6 +30,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -42,7 +39,7 @@ from .encoder import Encoder
 from .files import atomic_write
 from .layers import unit_rows
 from .text import (TokenizedCatalog, Vocabulary, assemble_entity, assemble_pair,
-                   check_widths, layout_lengths, stack_layouts)
+                   check_widths, layout_lengths, stack_layouts, trim_width)
 
 
 @dataclass(frozen=True)
@@ -126,23 +123,25 @@ def check_entity_table(table: np.ndarray) -> None:
 
 
 def _encode_pooled(encoder: Encoder, layouts, batch_size: int) -> np.ndarray:
-    """Pooled vectors of layouts, in their order, through ``Encoder.encode``.
-    Layouts go ``batch_size`` (>= 1, else ValueError) at a time in stable
-    length order, so that short ones share narrow batches, and each batch's
-    rows are written into the result."""
+    """Pooled vectors of layouts, in their order, through ``Encoder.encode``, in
+    stable length order and batches of at most ``batch_size`` (>= 1, else
+    ValueError) and one ``trim_width``: each is the vector of a one-layout batch."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    order = np.argsort([l.length for l in layouts], kind="stable")
+    order = np.argsort([l.length for l in layouts], kind="stable").tolist()
     pooled = np.empty((len(layouts), encoder.config.hidden_size))
-    for start in range(0, len(layouts), batch_size):
-        batch = order[start:start + batch_size]
-        pooled[batch] = encoder.encode(*stack_layouts([layouts[i] for i in batch]))
+    for _, run in groupby(order, lambda i: trim_width([layouts[i].length],
+                                                      len(layouts[i].tokens))):
+        run = list(run)
+        for start in range(0, len(run), batch_size):
+            batch = run[start:start + batch_size]
+            pooled[batch] = encoder.encode(*stack_layouts([layouts[i] for i in batch]))
     return pooled
 
 
 def query_scores(encoder: Encoder, pair_layouts, table_unit: np.ndarray) -> np.ndarray:
-    """Cosine scores (queries x entities) of pair layouts, encoded as one batch,
-    against an entity table of unit rows."""
+    """Cosine scores (queries x entities) of pair layouts, encoded by
+    ``_encode_pooled``, against an entity table of unit rows."""
     pooled = _encode_pooled(encoder, pair_layouts, len(pair_layouts))
     return unit_rows(pooled)[0] @ table_unit.T
 
@@ -220,25 +219,25 @@ def evaluate(kg: KnowledgeGraph, encoder: Encoder, split: str,
     table = precompute_entity_embeddings(encoder, cat, entity_max_len, batch_size)
     phases["entity_table_s"] = time.perf_counter() - started
 
+    started = time.perf_counter()
     pair_layouts = [assemble_pair(cat, q.entity, q.relation, pair_max_len)
                     for q in queries]
+    query_unit = unit_rows(_encode_pooled(encoder, pair_layouts, batch_size))[0]
+    phases["query_encode_s"] = time.perf_counter() - started
+
+    started = time.perf_counter()
     ranks = np.empty(len(queries), dtype=np.int64)
     per_query = []
     for start in range(0, len(queries), batch_size):
-        chunk = queries[start:start + batch_size]
-        scores = query_scores(encoder, pair_layouts[start:start + batch_size], table)
-        ranked = time.perf_counter()
-        for j, q in enumerate(chunk):
+        scores = query_unit[start:start + batch_size] @ table.T
+        for j, q in enumerate(queries[start:start + batch_size]):
             rank = rank_from_scores(scores[j], q.gold,
                                     filter_index.tails((q.entity, q.relation)))
             ranks[start + j] = rank
             if collect_per_query:
                 per_query.append({"entity": q.entity, "relation": q.relation,
                                   "gold": q.gold, "rank": int(rank)})
-        phases["rank_s"] += time.perf_counter() - ranked
-
-    # the rest: pair layouts, query encodes and their scores
-    phases["query_encode_s"] = time.perf_counter() - started - sum(phases.values())
+    phases["rank_s"] = time.perf_counter() - started
     agg = aggregate_ranks(ranks)
     return RankingReport(split=split, n_queries=len(queries), per_query=per_query,
                          phase_seconds=phases, **agg)

@@ -35,6 +35,8 @@ logger = logging.getLogger(__name__)
 _SHUFFLE, _DROPOUT, _NEGATIVES = 11, 12, 13
 
 _P_EPS = 1e-6
+#: pair rows per block of the (rows, entities, d) differences of the L1 term
+_L1_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,9 @@ def score_batch(pair_vectors: np.ndarray, entity_vectors: np.ndarray) -> np.ndar
     return np.clip(u @ v.T, -1.0, 1.0)
 
 
-def abs_diff_sums(pair_vectors: np.ndarray, entity_vectors: np.ndarray,
-                  chunk: int = 64) -> np.ndarray:
+def abs_diff_sums(pair_vectors: np.ndarray, entity_vectors: np.ndarray) -> np.ndarray:
     """Matrix of L1 distances: entry (i, j) = sum_k |pair_i[k] - entity_j[k]|."""
-    n = pair_vectors.shape[0]
+    n, chunk = pair_vectors.shape[0], _L1_CHUNK
     out = np.empty((n, entity_vectors.shape[0]), dtype=pair_vectors.dtype)
     for s in range(0, n, chunk):
         block = pair_vectors[s:s + chunk, None, :] - entity_vectors[None, :, :]
@@ -160,7 +161,7 @@ def vector_grads(pair_vectors, entity_vectors, dscores, ddiffs):
     dent[en[:, 0] == 0] = 0.0
 
     # L1-distance backward, chunked like the forward
-    chunk = 64
+    chunk = _L1_CHUNK
     for s in range(0, pair_vectors.shape[0], chunk):
         sign = np.sign(pair_vectors[s:s + chunk, None, :] - entity_vectors[None, :, :])
         dpair[s:s + chunk] += np.einsum("bn,bnd->bd", ddiffs[s:s + chunk], sign)

@@ -35,7 +35,7 @@ NUM_RESERVED = len(RESERVED_TOKENS)
 _WORD_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 #: NumPy's pairwise-summation block: a longer sum splits at a point that depends
-#: on its length, so past it a batch keeps its full layout length (``trim_width``)
+#: on its length, so past it every batch keeps its full layout length (``trim_width``)
 _PAIRWISE_BLOCK = 128
 
 
@@ -244,7 +244,8 @@ def trim_width(lengths, cap: int) -> int:
     capped at the layout length ``cap``; ``cap`` itself past ``_PAIRWISE_BLOCK``.
 
     Cutting a batch to this width drops only PAD columns, which the encoder
-    ignores (its outputs are padding-invariant).
+    ignores up to rounding: pooled encodes never mix widths, and the rounding
+    to 8 only sets how coarse their runs are (``evaluate._encode_pooled``).
     """
     if cap > _PAIRWISE_BLOCK:
         return cap

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import kglp
+from kglp.config import normalize_dataset_name
 from kglp.data import build_filter_index
 from kglp.encoder import Encoder, EncoderConfig
 from kglp.evaluate import evaluate
@@ -26,17 +27,9 @@ from kglp.pretrain import PretrainConfig, run_pretraining
 from kglp.sampling import build_pretrain_sample, derive_rng
 from kglp.text import PAD_ID, TokenizedCatalog
 
+from perfbench.graphs import TABLE4
 from util import (DATA_ENV, benchmark_dir, naive_label_matrix, naive_rank,
                   random_toy_dataset, rel_error, run_pipeline)
-
-TABLE4 = {
-    "umls": {"entities": 135, "relations": 46, "train": 5216, "valid": 652,
-             "test": 661},
-    "wn18rr": {"entities": 40943, "relations": 11, "train": 86835,
-               "valid": 3034, "test": 3034},
-    "fb15k-237": {"entities": 14541, "relations": 237, "train": 272115,
-                  "valid": 17535, "test": 20466},
-}
 
 
 def _line(criterion: str, ok: bool, detail: str) -> None:
@@ -68,7 +61,7 @@ def test_c1_dataset_fidelity(name):
     kg = kglp.load_dataset(directory)
     elapsed = time.time() - started
     stats = kglp.dataset_statistics(kg)
-    expect = TABLE4[name]
+    expect = TABLE4[normalize_dataset_name(name)]
     got = {k: stats[k] for k in expect}
     ok = got == expect and elapsed < 60.0
     _line("C1", ok, f"{name}: {got} in {elapsed:.1f}s (expected {expect}, < 60s)")

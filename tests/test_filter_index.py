@@ -72,9 +72,8 @@ def test_index_matches_dict_of_sets(case, probes):
     kg, splits = case
     truth = oracle(kg, splits)
     built = build_filter_index(kg, splits)
-    assert built.splits == splits
     assert_matches(built, truth, probes)
-    from_mapping = filter_from_mapping(truth, splits)
+    from_mapping = filter_from_mapping(truth)
     assert_matches(from_mapping, truth, probes)
 
 
@@ -87,7 +86,7 @@ def test_label_matrix_matches_oracle_for_both_constructors(case, rows, data):
                                max_size=len(rows)))
     batch = [Triple(h, r, t) for (h, r), t in zip(rows, tails)]
     want = naive_label_matrix(batch, truth)
-    for index in (build_filter_index(kg, splits), filter_from_mapping(truth, splits)):
+    for index in (build_filter_index(kg, splits), filter_from_mapping(truth)):
         y = build_label_matrix(batch, index)
         assert y.dtype == np.int8
         assert (y == want).all()
@@ -126,7 +125,7 @@ def test_overflowing_catalog_is_refused():
 def test_entries_outside_the_catalog_are_refused(row):
     heads, relations, tails = np.array([(0, 0, 1), row]).T
     with pytest.raises(ValueError, match="outside the catalog"):
-        FilterIndex(heads, relations, tails, 4, 2, ("train",))
+        FilterIndex(heads, relations, tails, 4, 2)
 
 
 def test_int32_columns_pack_like_int64_columns():
@@ -136,8 +135,8 @@ def test_int32_columns_pack_like_int64_columns():
     rows = np.stack([rng.integers(0, E, 400), rng.integers(0, R, 400),
                      rng.integers(0, E, 400)], axis=1)
     rows[0] = (E - 1, R - 1, E - 1)
-    wide = FilterIndex(*rows.T.astype(np.int64), E, R, ("train",))
-    narrow = FilterIndex(*rows.T.astype(np.int32), E, R, ("train",))
+    wide = FilterIndex(*rows.T.astype(np.int64), E, R)
+    narrow = FilterIndex(*rows.T.astype(np.int32), E, R)
     for head, relation, _ in rows[:40].tolist():
         assert np.array_equal(narrow.tails((head, relation)), wide.tails((head, relation)))
     heads, relations, tails = rows[:40].T.astype(np.int32)
@@ -149,7 +148,7 @@ def test_int32_columns_pack_like_int64_columns():
 def test_non_integer_columns_are_refused():
     heads, relations, tails = np.array([(0, 0, 1), (1, 1, 2)]).T
     with pytest.raises(TypeError, match="integer"):
-        FilterIndex(heads.astype(float), relations, tails, 4, 2, ("train",))
+        FilterIndex(heads.astype(float), relations, tails, 4, 2)
 
 
 # A catalog of E = 4 entities and R = 2 relations packs its codes into
@@ -167,7 +166,7 @@ def edge_indices():
     heads, relations, tails = np.array(
         [(h, r, t) for (h, r), ts in EDGES.items() for t in ts]).T
     return [filter_from_mapping(EDGES),
-            FilterIndex(heads, relations, tails, 4, 2, ("train",))]
+            FilterIndex(heads, relations, tails, 4, 2)]
 
 
 def test_runs_at_the_catalog_edges():

@@ -110,12 +110,13 @@ def test_score_batch_zero_vector_counted(caplog):
         "1 zero-norm vectors in cosine scoring"]
 
 
-def test_abs_diff_sums_matches_double_loop(rng):
+def test_abs_diff_sums_matches_double_loop(rng, monkeypatch):
+    monkeypatch.setattr(ft, "_L1_CHUNK", 2)  # three rows in two chunks
     p = rng.standard_normal((3, 5))
     e = rng.standard_normal((4, 5))
     expected = np.array([[np.abs(p[i] - e[j]).sum() for j in range(4)]
                          for i in range(3)])
-    assert np.allclose(abs_diff_sums(p, e, chunk=2), expected, atol=1e-12)
+    assert np.allclose(abs_diff_sums(p, e), expected, atol=1e-12)
 
 
 def test_joint_loss_perfect_positive_cell():
@@ -144,6 +145,27 @@ def test_joint_loss_2x2_hand_case_matches_scalar_oracle():
     got = joint_loss(scores, diffs, labels, fp)
     want = scalar_joint_loss(scores, diffs, labels, 0.5, 2.0)
     assert got == pytest.approx(want, abs=1e-6)
+
+
+def test_joint_loss_clips_probabilities_at_one_in_a_million():
+    # a negative cell of identical vectors (cosine 1) and a positive cell at
+    # cosine -1 sit on the clip: their focal terms are taken at p = 1 - 1e-6
+    # and p = 1e-6, and no gradient flows through the clip
+    v = np.array([[0.3, -0.7, 2.0]])
+    entities = np.concatenate([v, -v])
+    scores = score_batch(v, entities)
+    assert scores.tolist() == [[1.0, -1.0]]
+    diffs = abs_diff_sums(v, entities)
+    labels = np.array([[0, 1]], dtype=np.int8)
+    fp = FocalParams(alpha=0.8, gamma=2.0)
+    loss, l1_mean, _, dscores, _ = ft.joint_loss_with_grads(scores, diffs, labels, fp)
+    assert loss == pytest.approx(scalar_joint_loss(scores, diffs, labels, 0.8, 2.0),
+                                 rel=1e-9)
+    # each cell's focal term is -w * (1 - eps) ** 2 * log(eps), with weights
+    # 1 - alpha and alpha, which sum to 1 over the two cells
+    eps = 1e-6
+    assert l1_mean == pytest.approx(-(1 - eps) ** 2 * math.log(eps) / 2, rel=1e-9)
+    assert (dscores == 0.0).all()
 
 
 def test_joint_loss_matches_scalar_oracle_randomized(rng):

@@ -20,7 +20,7 @@ from kglp.encoder import cls_positions
 from kglp.evaluate import (RankingQuery, _encode_pooled, evaluate,
                            precompute_entity_embeddings, queries_for_split,
                            query_scores, rank_from_scores, rank_query)
-from kglp.text import TokenizedCatalog, assemble_entity, assemble_pair
+from kglp.text import TokenizedCatalog, assemble_entity, assemble_pair, stack_layouts
 
 from util import (reference_encode_pooled, reference_encode_states,
                   reference_stack_layouts, reference_unit_rows, write_dataset)
@@ -249,3 +249,47 @@ def test_vectors_past_the_pairwise_block_do_not_depend_on_their_batch(wide_catal
         assert [rank_query(RankingQuery(q["entity"], q["relation"], q["gold"]), enc,
                            cat, tables[0], filt, pair_max_len=256)
                 for q in report.per_query] == [q["rank"] for q in report.per_query]
+
+
+@pytest.fixture(scope="module")
+def described_catalog(tmp_path_factory):
+    """Entities (148 of the 150 drawn appear in a triple) with descriptions of
+    0 to 39 random words, so that their pair layouts are 6 to 46 tokens long,
+    in batches 8 to 48 wide."""
+    rng = np.random.default_rng(7)
+    words = [f"w{i}" for i in range(60)]
+    ids = [f"e{i:03d}" for i in range(150)]
+    rows = [(ids[h], f"r{r}", ids[t]) for h, r, t in
+            zip(*rng.integers(0, [[150], [2], [150]], size=(3, 320)))]
+    directory = write_dataset(
+        tmp_path_factory.mktemp("described"),
+        {"train": rows[:180], "valid": rows[180:200], "test": rows[200:]},
+        {e: f"n{i}" for i, e in enumerate(ids)},
+        {e: " ".join(rng.choice(words, size=rng.integers(0, 40))) for e in ids},
+        {"r0": "links to", "r1": "part of"})
+    kg = kglp.augment_inverse(kglp.load_dataset(directory))
+    return TokenizedCatalog(kg, kglp.build_vocab(kg, min_freq=1))
+
+
+@pytest.mark.parametrize("shape", [{}, {"hidden_size": 32, "ff_size": 48}],
+                         ids=["default", "32-wide"])
+def test_pooled_vectors_do_not_depend_on_their_batch(described_catalog, shape):
+    # BLAS sums the attention products of a wider batch in another order, so
+    # a query batched with wider ones can get other low bits than alone
+    cat = described_catalog
+    enc = kglp.Encoder(kglp.EncoderConfig(cat.vocab.size, **shape), seed=0)
+    queries = queries_for_split(cat.kg, "test")
+    layouts = [assemble_pair(cat, q.entity, q.relation, 96) for q in queries]
+    widths = {stack_layouts([layout])[0].shape[1] for layout in layouts}
+    assert min(widths) == 8 and max(widths) >= 48
+    alone = np.concatenate([enc.encode(*stack_layouts([layout])) for layout in layouts])
+    for batch_size in (1, 7, 256):
+        assert np.array_equal(_encode_pooled(enc, layouts, batch_size), alone)
+
+    filt = build_filter_index(cat.kg)
+    reports = [evaluate(cat.kg, enc, "test", cat=cat, filter_index=filt,
+                        batch_size=b).per_query for b in (1, 7, 256)]
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+    table = precompute_entity_embeddings(enc, cat)
+    assert [rank_query(RankingQuery(q["entity"], q["relation"], q["gold"]), enc, cat,
+                       table, filt) for q in reports[0]] == [q["rank"] for q in reports[0]]

@@ -125,7 +125,7 @@ def naive_label_matrix(batch, truth: dict) -> np.ndarray:
     return y
 
 
-def filter_from_mapping(mapping: dict, splits=("train",)):
+def filter_from_mapping(mapping: dict):
     """A ``FilterIndex`` of a dict of (entity, relation) keys to iterables of
     tails, with the catalog sizes taken as one past the largest index present;
     keys with no tails are dropped."""
@@ -135,7 +135,7 @@ def filter_from_mapping(mapping: dict, splits=("train",)):
     heads, relations, tails = np.array(rows, dtype=np.int64).reshape(-1, 3).T
     num_entities = int(max(heads.max(), tails.max())) + 1 if rows else 0
     num_relations = int(relations.max()) + 1 if rows else 0
-    return FilterIndex(heads, relations, tails, num_entities, num_relations, splits)
+    return FilterIndex(heads, relations, tails, num_entities, num_relations)
 
 
 def naive_cosine(pair_vectors, entity_vectors) -> np.ndarray:
